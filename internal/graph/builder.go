@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 )
@@ -74,11 +75,50 @@ func (s *adjSet) promote(n int, members []Vertex) {
 	s.sorted, s.tail = nil, nil
 }
 
-// reset empties the set, retaining allocated capacity where possible.
+// reset empties the set, retaining allocated capacity and the bitset
+// form once promoted.
 func (s *adjSet) reset() {
 	s.sorted = s.sorted[:0]
 	s.tail = s.tail[:0]
-	s.bits = nil
+	clear(s.bits)
+}
+
+// sortedRun writes the set's members (as many as len(run)) into run in
+// ascending order, and the port-order row adj's sorted→port
+// permutation into ports: ports[i] = p where adj[p] = run[i]. A
+// bitset-form set sorts nothing: it scans its set bits and ranks each
+// neighbor by the popcount below it plus a per-word prefix count. A
+// list-form set sorts its row once as packed (neighbor, port) keys —
+// measured faster than merging the tail and binary-searching each
+// neighbor's rank at list-form degrees in the hundreds. Both use the
+// caller's scratch, returned for reuse.
+func (s *adjSet) sortedRun(adj, run []Vertex, ports []int32, scratch []uint64) []uint64 {
+	if s.bits == nil {
+		keys := slices.Grow(scratch[:0], len(adj))[:len(adj)]
+		for p, w := range adj {
+			keys[p] = uint64(w)<<32 | uint64(p)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			run[i], ports[i] = Vertex(k>>32), int32(uint32(k))
+		}
+		return keys
+	}
+	before := slices.Grow(scratch[:0], len(s.bits))[:len(s.bits)]
+	k := 0
+	for i, word := range s.bits {
+		before[i] = uint64(k)
+		for ; word != 0; word &= word - 1 {
+			run[k] = Vertex(i<<6 | bits.TrailingZeros64(word))
+			k++
+		}
+	}
+	for p, w := range adj {
+		i := uint32(w) >> 6
+		below := s.bits[i] & (1<<(uint32(w)&63) - 1)
+		ports[int(before[i])+bits.OnesCount64(below)] = int32(p)
+	}
+	return before
 }
 
 // Builder assembles a graph incrementally. Edges are appended to both
@@ -87,8 +127,11 @@ func (s *adjSet) reset() {
 // with SetID or one of the relabeling helpers before Build.
 //
 // Edge dedup uses per-vertex sorted adjacency (with a bitset upgrade
-// for dense vertices) instead of a global hash set, so HasEdge is
+// for dense vertices, at Grow time when the degree hint already
+// reaches it) instead of a global hash set, so HasEdge is
 // allocation-free and generation never touches a map on its hot path.
+// A bitset also hands Build the vertex's neighbors in ascending order,
+// so building sorts nothing for it.
 type Builder struct {
 	ids       []int64
 	adj       [][]Vertex // port order
@@ -227,13 +270,21 @@ func (b *Builder) AddCycle(order []int) error {
 		}
 		pos[v] = int32(i)
 	}
-	// One shared backing array seeds every vertex's membership tail —
-	// each holds exactly the cycle's two incident edges — instead of a
-	// per-vertex 2-element allocation (2M tiny allocations at n=2²⁰,
-	// the dominant cost of the fill). Three-index slicing caps every
-	// window at 2, so a later add reallocates instead of clobbering a
-	// neighbor's window, exactly like an organically grown tail.
-	tails := make([]Vertex, 2*n)
+	// One shared backing array seeds every list-form vertex's
+	// membership tail — each holds exactly the cycle's two incident
+	// edges — instead of a per-vertex 2-element allocation (2M tiny
+	// allocations at n=2²⁰, the dominant cost of the fill).
+	// Three-index slicing caps every window at 2, so a later add
+	// reallocates instead of clobbering a neighbor's window, exactly
+	// like an organically grown tail. Bitset-form vertices (promoted
+	// by Grow) get their two bits set instead.
+	var tails []Vertex
+	for v := range b.seen {
+		if b.seen[v].bits == nil {
+			tails = make([]Vertex, 2*n)
+			break
+		}
+	}
 	parallelBlocks(n, func(lo, hi Vertex) {
 		for v := lo; v < hi; v++ {
 			i := int(pos[v])
@@ -253,6 +304,11 @@ func (b *Builder) AddCycle(order []int) error {
 				p, q = q, p
 			}
 			b.adj[v] = append(b.adj[v], p, q)
+			if s := &b.seen[v]; s.bits != nil {
+				s.add(p)
+				s.add(q)
+				continue
+			}
 			t := tails[2*int(v) : 2*int(v)+2 : 2*int(v)+2]
 			t[0], t[1] = p, q
 			b.seen[v].tail = t
@@ -264,7 +320,8 @@ func (b *Builder) AddCycle(order []int) error {
 
 // Reset removes every edge while keeping the vertex count, IDs, n',
 // and — crucially for retrying generators — the per-vertex slice
-// capacity already grown, so a restart adds no fresh allocations.
+// capacity and bitsets already grown, so a restart adds no fresh
+// allocations.
 func (b *Builder) Reset() {
 	for v := range b.adj {
 		b.adj[v] = b.adj[v][:0]
@@ -275,7 +332,10 @@ func (b *Builder) Reset() {
 
 // Grow pre-allocates every vertex's adjacency list for the given
 // expected degree — a capacity hint for generators that know their
-// degree profile up front.
+// degree profile up front. A hint at or above the bitset threshold
+// also promotes every vertex's membership set to its bitset now, which
+// costs no more memory than the list it replaces and saves growing a
+// sorted list that the first bitsetDeg edges would discard anyway.
 func (b *Builder) Grow(deg int) {
 	if deg <= 0 {
 		return
@@ -285,6 +345,9 @@ func (b *Builder) Grow(deg int) {
 			next := make([]Vertex, len(b.adj[v]), deg)
 			copy(next, b.adj[v])
 			b.adj[v] = next
+		}
+		if deg >= b.bitsetDeg && b.seen[v].bits == nil {
+			b.seen[v].promote(len(b.ids), b.adj[v])
 		}
 	}
 }
@@ -302,7 +365,10 @@ func (b *Builder) ShufflePorts(rng *rand.Rand) {
 // Build finalizes the graph. The builder remains usable (the structure
 // is copied out into the graph's flat CSR arrays). Edge invariants
 // hold by construction (AddEdge enforces them), so Build only has to
-// check the ID assignment.
+// check the ID assignment. Each vertex's membership set yields its
+// ascending neighbor run and the sorted→port permutation (see
+// adjSet.sortedRun; no sort at all for a bitset vertex), which go to
+// the same derivation the binary reader uses.
 func (b *Builder) Build() (*Graph, error) {
 	if err := validateIDs(b.ids, b.nPrime); err != nil {
 		return nil, err
@@ -311,7 +377,16 @@ func (b *Builder) Build() (*Graph, error) {
 	if err := g.setRows(b.adj); err != nil {
 		return nil, err
 	}
-	g.buildDerived()
+	g.sorted = make([]Vertex, len(g.nbrs))
+	ports := make([]int32, len(g.nbrs))
+	parallelBlocks(len(b.ids), func(lo, hi Vertex) {
+		var scratch []uint64
+		for v := lo; v < hi; v++ {
+			o, e := g.offsets[v], g.offsets[v+1]
+			scratch = b.seen[v].sortedRun(b.adj[v], g.sorted[o:e], ports[o:e], scratch)
+		}
+	})
+	g.buildDerivedPresorted(ports)
 	return g, nil
 }
 

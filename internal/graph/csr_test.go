@@ -36,7 +36,7 @@ func topoHash(g *Graph) uint64 {
 // TestPlantedMinDegreeBenchTopologyPinned pins the exact topology of
 // the benchmark workload PlantedMinDegree(1024, 181) under
 // benchengine's stream PCG(7, 0xbe7c4), including the start-pair
-// draws that follow it. The values were recorded from the seed
+// draws that follow it, and of the fnrbench shapes below. The values were recorded from the seed
 // (pre-CSR) implementation; if this test fails, the generator's RNG
 // draw sequence moved and every committed BENCH_engine.json aggregate
 // is silently invalidated.
@@ -59,6 +59,40 @@ func TestPlantedMinDegreeBenchTopologyPinned(t *testing.T) {
 	sb := g.Adj(sa)[rng.IntN(g.Degree(sa))]
 	if sa != 902 || sb != 577 {
 		t.Errorf("start pair = (%d, %d), want (902, 577)", sa, sb)
+	}
+
+	// The served benchmark shapes under a job.Workload stream
+	// PCG(seed, job.DefaultStream = 0xbe7c4), plus one dense shape whose
+	// deficit loop reaches pickNonNeighbor. next is the stream's next
+	// draw after generation — the position Workload.Materialize draws
+	// its start pair from. Recorded from the generator before the
+	// single-HasEdge deficit loop and the sort-free Build.
+	for _, tc := range []struct {
+		n, d          int
+		seed          uint64
+		hash          uint64
+		m, minD, maxD int
+		next          uint64
+	}{
+		{2048, 64, 1, 0xdb60b1c38c3ca19b, 65539, 64, 65, 0xba6c9144c006b75a},
+		{4096, 128, 2, 0xc96a29cdb28702fc, 262151, 128, 129, 0x659e5607ba2e2c28},
+		{200, 190, 7, 0x40351c587227e600, 19100, 190, 194, 0x7a0b88c170c6ca6d},
+	} {
+		rng := rand.New(rand.NewPCG(tc.seed, 0xbe7c4))
+		g, err := PlantedMinDegree(tc.n, tc.d, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := topoHash(g); h != tc.hash {
+			t.Errorf("PlantedMinDegree(%d,%d) seed %d: hash = %#x, want %#x", tc.n, tc.d, tc.seed, h, tc.hash)
+		}
+		if g.M() != tc.m || g.MinDegree() != tc.minD || g.MaxDegree() != tc.maxD {
+			t.Errorf("PlantedMinDegree(%d,%d) seed %d: m=%d δ=%d ∆=%d, want m=%d δ=%d ∆=%d",
+				tc.n, tc.d, tc.seed, g.M(), g.MinDegree(), g.MaxDegree(), tc.m, tc.minD, tc.maxD)
+		}
+		if next := rng.Uint64(); next != tc.next {
+			t.Errorf("PlantedMinDegree(%d,%d) seed %d: next draw = %#x, want %#x (stream position moved)", tc.n, tc.d, tc.seed, next, tc.next)
+		}
 	}
 }
 

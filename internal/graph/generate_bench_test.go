@@ -23,7 +23,13 @@ func benchPlanted(b *testing.B, n, d int) {
 	}
 }
 
-func BenchmarkGeneratePlanted1024x181(b *testing.B)  { benchPlanted(b, 1024, 181) }
+func BenchmarkGeneratePlanted1024x181(b *testing.B) { benchPlanted(b, 1024, 181) }
+
+// BenchmarkGeneratePlanted2048x64 is fnrbench's graph-build and cold
+// fnrd shape; BenchmarkGeneratePlanted4096x128 is the paper-batch and
+// warm fnrd shape.
+func BenchmarkGeneratePlanted2048x64(b *testing.B)   { benchPlanted(b, 2048, 64) }
+func BenchmarkGeneratePlanted4096x128(b *testing.B)  { benchPlanted(b, 4096, 128) }
 func BenchmarkGeneratePlanted4096x64(b *testing.B)   { benchPlanted(b, 4096, 64) }
 func BenchmarkGeneratePlanted16384x128(b *testing.B) { benchPlanted(b, 16384, 128) }
 

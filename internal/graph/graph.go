@@ -95,10 +95,11 @@ type Graph struct {
 // "no graph" so zero-valued contexts never match a cache key.
 var nextStamp atomic.Uint64
 
-// Stamp returns the graph's process-unique construction identity
-// (never 0 for a built graph). Equal stamps imply the same immutable
-// graph, letting per-agent scratch reuse graph-derived caches across
-// trials without structural comparison.
+// Stamp returns the graph's process-unique construction identity:
+// never 0 for any constructed graph, whether built, generated, cloned
+// or read in any format. Equal stamps imply the same immutable graph,
+// letting per-agent scratch reuse graph-derived caches across trials
+// without structural comparison.
 func (g *Graph) Stamp() uint64 { return g.stamp }
 
 // N returns the number of vertices.
@@ -261,11 +262,12 @@ func (g *Graph) Validate() error {
 }
 
 // symmetrySweep proves the graph symmetric with one linear cursor
-// co-sweep. Both graph constructions guarantee structurally that each
+// co-sweep. Every graph construction guarantees structurally that each
 // sorted run holds the same multiset as its Adj row (buildDerived
 // sorts the row's copy; the binary reader scatters the run through a
-// checked port permutation), so sweeping sources in ascending order
-// must land every arc (v, w) exactly on the cursor of w's sorted run.
+// checked port permutation; Builder.Build sorts the row's copy or
+// reads the run off the bitset it kept beside the row), so sweeping
+// sources in ascending order must land every arc (v, w) exactly on the cursor of w's sorted run.
 // A completed sweep maps each arc to a distinct matching run entry —
 // an injection of the arc multiset into its own reversal, hence a
 // bijection: the graph is symmetric. Every arc advances exactly one
@@ -645,14 +647,16 @@ func fromCSRSorted(ids []int64, offsets []int64, sorted []Vertex, ports []int32,
 	return g, nil
 }
 
-// buildDerivedPresorted is the binary reader's counterpart of
-// buildDerived for graphs whose sorted adjacency (already in g) and
-// sorted->port permutation arrive with the payload: under identity
-// naming nothing needs sorting at all — ports IS the ID->port index —
-// and under other labelings only the ID co-sort remains.
+// buildDerivedPresorted is the counterpart of buildDerived for graphs
+// whose sorted adjacency (already in g) and sorted->port permutation
+// are known up front — the binary reader's payload, or a Builder's
+// membership sets: under identity naming nothing needs sorting at all
+// — ports IS the ID->port index — and under other labelings only the
+// ID co-sort remains.
 func (g *Graph) buildDerivedPresorted(ports []int32) {
 	n := len(g.ids)
 	arcs := len(g.nbrs)
+	g.stamp = nextStamp.Add(1)
 	g.buildIDIndex()
 	g.computeDegreeStats()
 	g.nbrIDs = make([]int64, arcs)

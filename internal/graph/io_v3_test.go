@@ -206,3 +206,44 @@ func TestBinaryV3StraddlesEveryChunk(t *testing.T) {
 		}
 	}
 }
+
+// TestReadStampsGraphs checks that every decoder stamps the graph it
+// returns: a non-zero stamp distinct from the source graph's and from
+// every other read, so stamp-keyed caches (the whiteboard walker's
+// return ports) persist across trials on file-loaded graphs too.
+func TestReadStampsGraphs(t *testing.T) {
+	g, err := PlantedMinDegree(64, 7, rand.New(rand.NewPCG(3, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text, v2, v3 bytes.Buffer
+	if _, err := g.WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.WriteBinary(&v2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.WriteBinaryV3(&v3); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]string{g.Stamp(): "generated"}
+	if g.Stamp() == 0 {
+		t.Fatal("generated graph has stamp 0")
+	}
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{{"v1 text", text.Bytes()}, {"v2", v2.Bytes()}, {"v3", v3.Bytes()}, {"v3 again", v3.Bytes()}} {
+		h, err := Read(bytes.NewReader(f.data))
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if h.Stamp() == 0 {
+			t.Errorf("%s: read graph has stamp 0", f.name)
+		}
+		if prev, dup := seen[h.Stamp()]; dup {
+			t.Errorf("%s: stamp %d already issued to the %s graph", f.name, h.Stamp(), prev)
+		}
+		seen[h.Stamp()] = f.name
+	}
+}
