@@ -644,10 +644,14 @@ func runHuge(n, d, trials int, seed uint64, workers, shardIndex, shardCount int,
 	agg, elapsed := timedRun(batch)
 	hrep.ElapsedMS = elapsed
 	hrep.TrialsPerSec = float64(trials) / (float64(elapsed) / 1000)
-	hrep.LaneWidth = fnr.AutoLaneWidth(hg.N())
+	hrep.LaneWidth = autoLaneWidth
 	hrep.Aggregate = agg
 	return hrep
 }
+
+// autoLaneWidth is the lane width Batch.LaneWidth 0 selects: one
+// resident trial per worker.
+const autoLaneWidth = 1
 
 func main() {
 	log.SetFlags(0)
@@ -768,7 +772,7 @@ func main() {
 			Aggregate:               agg,
 			ElapsedMS:               elapsed,
 			TrialsPerSec:            float64(*trials) / (float64(elapsed) / 1000),
-			LaneWidth:               fnr.AutoLaneWidth(g.N()),
+			LaneWidth:               autoLaneWidth,
 			SerialElapsedMS:         serialElapsed,
 			StepperElapsedMS:        stepperElapsed,
 			LockstepElapsedMS:       lockElapsed,
@@ -828,7 +832,7 @@ func main() {
 				Aggregate:               agg,
 				ElapsedMS:               elapsed,
 				TrialsPerSec:            float64(*largeTrials) / (float64(elapsed) / 1000),
-				LaneWidth:               fnr.AutoLaneWidth(lg.N()),
+				LaneWidth:               autoLaneWidth,
 				StepperElapsedMS:        stepperElapsed,
 				LockstepElapsedMS:       lockElapsed,
 				LockstepSpeedup:         float64(stepperElapsed) / float64(lockElapsed),

@@ -496,17 +496,6 @@ func RunBatchReducedContext(ctx context.Context, b Batch) (*BatchReducer, error)
 	return engine.RunReduced(ctx, b)
 }
 
-// DefaultLaneWidth is the widest lockstep lane Batch.LaneWidth = 0
-// selects: how many trials each worker keeps resident at once on the
-// stepper fast path. On large graphs the automatic width narrows so
-// the resident trials' combined working set stays cache-friendly —
-// AutoLaneWidth reports the resolved value.
-const DefaultLaneWidth = engine.DefaultLaneWidth
-
-// AutoLaneWidth reports the lockstep lane width a Batch with
-// LaneWidth 0 resolves to on a graph with n vertices.
-func AutoLaneWidth(n int) int { return engine.AutoLaneWidth(n) }
-
 // RunBatch fans the batch's trials across a worker pool and returns
 // the streamed aggregate. Each trial's seed derives from
 // (Batch.Seed, trial index), so the result is bit-identical for any

@@ -40,24 +40,30 @@ func (stayerStepper) Next(*sim.View) sim.Action { return sim.StayFor(1 << 30) }
 func SweepStepper() sim.Stepper { return &sweepStepper{} }
 
 type sweepStepper struct {
+	stamp     uint64
 	started   bool
 	home      int64
 	nbs       []int64
+	ret       sim.HomePorts // ports back home, by sweep index
 	i         int
 	returning bool
 }
 
-func (s *sweepStepper) Init(*sim.StepContext) {}
+func (s *sweepStepper) Init(ctx *sim.StepContext) { s.stamp = ctx.GraphStamp }
 
 // Reset re-arms the sweep for another trial, keeping the grown
-// neighbor buffer (lane reuse contract).
-func (s *sweepStepper) Reset(*sim.StepContext) { *s = sweepStepper{nbs: s.nbs[:0]} }
+// neighbor buffer and the return-port cache (lane reuse contract).
+func (s *sweepStepper) Reset(ctx *sim.StepContext) {
+	*s = sweepStepper{nbs: s.nbs[:0], ret: s.ret}
+	s.Init(ctx)
+}
 
 func (s *sweepStepper) Next(v *sim.View) sim.Action {
 	if !s.started {
 		s.started = true
 		s.home = v.HereID
 		s.nbs = append(s.nbs, v.NeighborIDs...)
+		s.ret.Arm(s.stamp, s.home, len(s.nbs))
 	}
 	if s.i >= len(s.nbs) {
 		// Distance was not 1 after all; nothing left to try.
@@ -69,7 +75,7 @@ func (s *sweepStepper) Next(v *sim.View) sim.Action {
 		s.returning = true
 		return sim.Move(s.i)
 	}
-	p, ok := v.PortOfID(s.home)
+	p, ok := s.ret.Port(v, s.i)
 	if !ok {
 		return sim.Abort(errNotAdjacent(v, s.home))
 	}
@@ -126,21 +132,14 @@ func (s *dfsStepper) Next(v *sim.View) sim.Action {
 		}
 		s.visited[v.HereID] = true
 	}
-	next := int64(-1)
-	for _, u := range v.NeighborIDs {
+	for p, u := range v.NeighborIDs {
 		if !s.visited[u] {
-			next = u
-			break
+			// NeighborIDs is in port order, so the first unvisited
+			// neighbor's index is its port.
+			s.visited[u] = true
+			s.path = append(s.path, v.HereID)
+			return sim.Move(p)
 		}
-	}
-	if next >= 0 {
-		s.visited[next] = true
-		s.path = append(s.path, v.HereID)
-		p, ok := v.PortOfID(next)
-		if !ok {
-			return sim.Abort(errNotAdjacent(v, next))
-		}
-		return sim.Move(p)
 	}
 	if len(s.path) == 0 {
 		return sim.Halt() // traversal complete

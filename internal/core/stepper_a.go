@@ -240,7 +240,7 @@ func (s *nativeAgentA) beginReturn(v *sim.View, after aPC) (sim.Action, bool) {
 // walker's cached return port, falling back to the generic lookup if
 // home is somehow not visible (moveTo then aborts, as before).
 func (s *nativeAgentA) homeward(v *sim.View, j int) sim.Action {
-	if p, ok := s.w.homePort(v, j); ok {
+	if p, ok := s.w.s.ret.Port(v, j); ok {
 		return sim.Move(p)
 	}
 	return s.moveTo(v, s.w.home)

@@ -15,11 +15,13 @@ import (
 // differential reference.
 
 // bScratch is the reusable agent-b buffer set parked on the trial
-// context's scratch slot: the closed neighborhood N+(start) and (for
+// context's scratch slot: the closed neighborhood N+(start), the
+// whiteboard marker's return ports by np position, and (for
 // Algorithm 4) the Φ^b sample. Reuse is representation-only, exactly
 // like walkerScratch.
 type bScratch struct {
 	np  []int64
+	ret sim.HomePorts
 	phi []int64
 }
 
@@ -49,15 +51,18 @@ type whiteboardBStepper struct {
 	rng    *rand.Rand
 	boards bool
 	slot   *sim.AgentScratch
+	stamp  uint64
 	home   int64
 	np     []int64
-	away   bool // at the marked neighbor, heading home next
+	ret    *sim.HomePorts
+	away   int // np position of the marked neighbor, heading home next (0 = at home)
 }
 
 func (s *whiteboardBStepper) Init(ctx *sim.StepContext) {
 	s.rng = ctx.Rand
 	s.boards = ctx.Whiteboards
 	s.slot = ctx.Scratch
+	s.stamp = ctx.GraphStamp
 }
 
 // Reset re-arms the machine for another trial (the lane reuse
@@ -76,19 +81,21 @@ func (s *whiteboardBStepper) Next(v *sim.View) sim.Action {
 		sc.np = append(sc.np[:0], s.home)
 		sc.np = append(sc.np, v.NeighborIDs...)
 		s.np = sc.np
+		sc.ret.Arm(s.stamp, s.home, len(sc.np))
+		s.ret = &sc.ret
 	}
-	if s.away {
+	if s.away > 0 {
 		// The mark commits together with the move home, exactly like
 		// the Program form's staged WriteWhiteboard before
 		// MoveToID(home).
 		if !s.boards {
 			return sim.Abort(fmt.Errorf("core: agent b wrote a whiteboard in a whiteboard-free run"))
 		}
-		p, ok := v.PortOfID(s.home)
+		p, ok := s.ret.Port(v, s.away)
 		if !ok {
 			return sim.Abort(errNotAdjacentB(v, s.home))
 		}
-		s.away = false
+		s.away = 0
 		return sim.Move(p).WithWrite(s.home)
 	}
 	// np is home followed by the neighbors in port order, so a drawn
@@ -100,7 +107,7 @@ func (s *whiteboardBStepper) Next(v *sim.View) sim.Action {
 		}
 		return sim.Stay().WithWrite(s.home) // commit the write, staying put
 	}
-	s.away = true
+	s.away = j
 	return sim.Move(j - 1)
 }
 

@@ -35,17 +35,27 @@ type walkerScratch struct {
 	npHomeL    []int64
 	nsL        []int64
 	lastSeenNb []int64
-	// retPort caches, per npHomeL position, the port from that vertex
-	// back to home (-1 until first computed). Every Sample draw and
-	// every distance-2 trip ends standing on a neighbor of home, so
-	// the cache turns the return move's per-vertex port lookup (a
-	// binary search over a Θ(∆) neighbor list) into one array read.
-	// Ports are pure graph structure, so the cache survives re-arms —
-	// including whole trials — as long as (graph stamp, home) match;
-	// retStamp/retHome key that (stamp 0 never matches).
-	retPort  []int32
-	retStamp uint64
-	retHome  int64
+	// ret caches, per npHomeL position, the port from that vertex back
+	// to home. Every Sample draw and every distance-2 trip ends
+	// standing on a neighbor of home, so the cache turns the return
+	// move's per-vertex port lookup into one array read. Ports are
+	// pure graph structure, so the cache survives re-arms — including
+	// whole trials — as long as (graph stamp, home) match; the overlap
+	// memo below shares that key.
+	ret sim.HomePorts
+	// ovAt and ov memoize Sample's observation in dense-counter mode:
+	// the members of N+(home) ∩ N+(t) for every visited vertex t, so a
+	// repeat visit bumps those few counters instead of all deg(t)+1
+	// (see sampleObserve). ov holds the lists back to back, each
+	// preceded by the header ^t (headers are negative, members are
+	// not); ovAt[t] is the index just past t's header, valid only
+	// while that header still reads ^t — which lets a reset truncate
+	// ov without clearing ovAt. Like ret, this is derived graph
+	// structure keyed by (graph stamp, home), and simulator scratch
+	// rather than agent memory: memoryWords does not count it, and
+	// overlapMemoWords bounds it.
+	ovAt []int32
+	ov   []int32
 	// Construct/Sample scratch (see constructDense and sampleRun).
 	counts []int32
 	inH    []bool
@@ -151,15 +161,8 @@ func newWalkerCore(s *walkerScratch, graphStamp uint64, nPrime int64, p *Params,
 	for i, id := range s.npHomeL {
 		s.npIdx.set(id, int32(i))
 	}
-	if graphStamp == 0 || s.retStamp != graphStamp || s.retHome != home || len(s.retPort) != len(s.npHomeL) {
-		if cap(s.retPort) < len(s.npHomeL) {
-			s.retPort = make([]int32, len(s.npHomeL))
-		}
-		s.retPort = s.retPort[:len(s.npHomeL)]
-		for i := range s.retPort {
-			s.retPort[i] = -1
-		}
-		s.retStamp, s.retHome = graphStamp, home
+	if s.ret.Arm(graphStamp, home, len(s.npHomeL)) {
+		s.resetOverlap(w.denseCounts, nPrime)
 	}
 	s.nsL = s.nsL[:0]
 	s.lastSeenNb = s.lastSeenNb[:0]
@@ -204,23 +207,6 @@ func (w *walker) checkDegree() error {
 // target (possibly target itself when adjacent to home).
 func (w *walkerCore) viaOf(target int64) (int64, bool) {
 	return w.s.via.get(target)
-}
-
-// homePort returns the port leading home from the j-th member of
-// N+(home) — the vertex the view stands on — computing it once per
-// (vertex, home) pair and serving repeats from the retPort cache. The
-// cached value is exactly what PortOfID returned the first time, so
-// trajectories are unchanged.
-func (w *walkerCore) homePort(v *sim.View, j int) (int, bool) {
-	if p := w.s.retPort[j]; p >= 0 {
-		return int(p), true
-	}
-	p, ok := v.PortOfID(w.home)
-	if !ok {
-		return 0, false
-	}
-	w.s.retPort[j] = int32(p)
-	return p, true
 }
 
 // goTo moves from home to the known vertex target (≤ 2 moves) and
@@ -344,7 +330,9 @@ func (w *walkerCore) cachedNeighborhood(u int64) ([]int64, bool) {
 // O(|NS| + ∆) = O(n), matching the paper's O(n log n)-bit claim. The
 // dense idspace representations trade extra transient memory for
 // speed; the estimate deliberately counts logical entries, i.e. the
-// algorithm's information content.
+// algorithm's information content. The return-port cache and the
+// Sample overlap memo are simulator scratch derived from the graph,
+// not agent memory, and are not counted.
 func (w *walkerCore) memoryWords() int {
 	s := w.s
 	return len(s.homeNb) + len(s.npHomeL) + s.via.len() + len(s.nsL) + len(s.lastSeenNb)
@@ -378,14 +366,14 @@ func (w *walkerCore) sampleSize(gammaLen int, alpha float64) int {
 
 // sampleReset prepares the per-call visit counters. In dense mode
 // (small ID space, like idspace.go) counters are indexed directly by
-// vertex ID, which turns the observation loop into plain array bumps
-// — no npIdx lookup, no epoch check — and only the N+(home) entries
-// are ever read, so the reset clears exactly those (O(∆)). Slots at
-// other IDs may hold garbage from earlier calls; sampleHeavy never
-// looks at them, and int32 wraparound on a never-read slot is
-// harmless. In map mode counters live at each vertex's position in
-// npHomeL, as before. Either way the counter array is walker scratch:
-// allocated once per worker, both representations count identically.
+// vertex ID and only the N+(home) entries are ever read, so the reset
+// clears exactly those (O(∆)). Slots at other IDs may hold garbage
+// from earlier calls or from the over-cap observation loop;
+// sampleHeavy never looks at them, and int32 wraparound on a
+// never-read slot is harmless. In map mode counters live at each
+// vertex's position in npHomeL. Either way the counter array is
+// walker scratch: allocated once per worker, and both representations
+// count identically.
 func (w *walkerCore) sampleReset() {
 	ws := w.s
 	if w.denseCounts {
@@ -421,13 +409,31 @@ func (w *walkerCore) sampleObserveHome() {
 }
 
 // sampleObserve credits one remote visit's observation (self plus its
-// neighbor list) against the N+(home) counters. The dense branch
-// bumps unconditionally — IDs outside N+(home) land on slots nothing
-// reads — which is what removes the per-neighbor membership lookup
-// from the hottest loop of the whole simulation.
+// neighbor list) against the N+(home) counters. In dense mode the
+// first visit to a vertex records which members of N+(home) it
+// observes (memoOverlap), and every visit bumps just those counters —
+// a handful, against deg(t)+1 for the plain loop, and each vertex of
+// Γ is drawn several times per Sample and again in later trials from
+// the same start. Past the memo's size cap the dense branch bumps
+// every observed ID unconditionally: IDs outside N+(home) land on
+// slots nothing reads. Both forms leave the N+(home) counters exactly
+// equal. Map mode looks each observed ID up in npIdx.
 func (w *walkerCore) sampleObserve(self int64, nbs []int64) {
 	ws := w.s
 	if w.denseCounts {
+		list, ok := ws.overlap(self)
+		if !ok {
+			list, ok = ws.memoOverlap(self, nbs, overlapMemoWords*int(w.nPrime))
+		}
+		if ok {
+			for _, u := range list {
+				if u < 0 { // the next vertex's header
+					break
+				}
+				ws.counts[u]++
+			}
+			return
+		}
 		ws.counts[self]++
 		for _, u := range nbs {
 			ws.counts[u]++
@@ -442,6 +448,65 @@ func (w *walkerCore) sampleObserve(self int64, nbs []int64) {
 			ws.counts[j]++
 		}
 	}
+}
+
+// overlapMemoWords caps the overlap memo's list storage, headers
+// included, at this many int32 words per ID of the space (16 bytes
+// per ID; the ovAt index adds 4). A 128-trial noboard batch on
+// planted(4096, 128) fills about 3.1 words per ID; on dense graphs
+// such as Complete(256) the cap is reached after a few vertices and
+// the plain loop takes over.
+const overlapMemoWords = 4
+
+// resetOverlap empties the overlap memo for a new (graph, home) key.
+// Truncating ov invalidates every ovAt entry (see walkerScratch).
+func (ws *walkerScratch) resetOverlap(dense bool, nPrime int64) {
+	ws.ov = ws.ov[:0]
+	if !dense {
+		return
+	}
+	if int64(len(ws.ovAt)) != nPrime {
+		ws.ovAt = make([]int32, nPrime)
+	}
+}
+
+// overlap returns the memoized members of N+(home) ∩ N+(t), or ok =
+// false if t has none yet. The list runs to the next negative header
+// or the end of ov.
+func (ws *walkerScratch) overlap(t int64) ([]int32, bool) {
+	at := ws.ovAt[t]
+	if at > 0 && int(at) <= len(ws.ov) && ws.ov[at-1] == ^int32(t) {
+		return ws.ov[at:], true
+	}
+	return nil, false
+}
+
+// memoOverlap records the members of N+(home) among t and its
+// neighbors, in observation order, and returns the new list — or ok =
+// false, recording nothing, when it might not fit within limit words.
+// ov grows to at most limit, so a warm memo allocates nothing.
+func (ws *walkerScratch) memoOverlap(t int64, nbs []int64, limit int) ([]int32, bool) {
+	need := len(ws.ov) + 2 + len(nbs)
+	if need > limit {
+		return nil, false
+	}
+	if need > cap(ws.ov) {
+		grown := make([]int32, len(ws.ov), min(max(2*cap(ws.ov), need, 1024), limit))
+		copy(grown, ws.ov)
+		ws.ov = grown
+	}
+	ws.ov = append(ws.ov, ^int32(t))
+	at := len(ws.ov)
+	if ws.npIdx.get(t) >= 0 {
+		ws.ov = append(ws.ov, int32(t))
+	}
+	for _, u := range nbs {
+		if ws.npIdx.get(u) >= 0 {
+			ws.ov = append(ws.ov, int32(u))
+		}
+	}
+	ws.ovAt[t] = int32(at)
+	return ws.ov[at:], true
 }
 
 // sampleHeavy scans the counters and returns the vertices whose count

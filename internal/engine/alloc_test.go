@@ -120,16 +120,16 @@ func TestNativePaperStepperSetupAllocs(t *testing.T) {
 // TestLockstepLaneAllocs is the allocation-regression gate for the
 // lockstep lane path (CI runs it via the -run 'Allocs' step): once a
 // lane is warm — steppers built, per-slot scratch grown — re-running
-// a whiteboard trial range must cost under 128 B/trial amortized.
-// The lane's whole point is that per-trial setup (stepper builds,
-// result boxes, context re-arming) amortizes to nothing; this pins
-// it.
+// a whiteboard trial range must cost under 128 B/trial amortized, at
+// the default width 1 and at width 8. The lane's whole point is that
+// per-trial setup (stepper builds, result boxes, context re-arming)
+// amortizes to nothing; this pins it.
 func TestLockstepLaneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	const n, d = 4096, 80
-	const trials, width = 64, 8
+	const trials = 64
 	rng := rand.New(rand.NewPCG(21, 0xa110c))
 	g, err := graph.PlantedMinDegree(n, d, rng)
 	if err != nil {
@@ -145,25 +145,27 @@ func TestLockstepLaneAllocs(t *testing.T) {
 	}
 	cfg := trialConfig(b, spec, 0)
 	seedOf := func(i int) uint64 { return TrialSeed(b.Seed, i) }
-	lane := sim.NewTrialLane(width, func() (sim.Stepper, sim.Stepper, error) {
-		return spec.Steppers(opts)
-	})
-	defer lane.Close()
 	emit := func(trial int, res *sim.Result, err error) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
-	lane.Run(cfg, seedOf, 0, trials, emit) // warm every slot and trial
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	lane.Run(cfg, seedOf, 0, trials, emit)
-	runtime.ReadMemStats(&m1)
-	bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(trials)
-	allocsPer := float64(m1.Mallocs-m0.Mallocs) / float64(trials)
-	t.Logf("warm lane: %.1f B/trial, %.2f allocs/trial", bytesPer, allocsPer)
-	if bytesPer > 128 {
-		t.Errorf("warm lockstep lane allocates %.1f B/trial, want < 128", bytesPer)
+	for _, width := range []int{b.laneWidth(), 8} {
+		lane := sim.NewTrialLane(width, func() (sim.Stepper, sim.Stepper, error) {
+			return spec.Steppers(opts)
+		})
+		lane.Run(cfg, seedOf, 0, trials, emit) // warm every slot and trial
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		lane.Run(cfg, seedOf, 0, trials, emit)
+		runtime.ReadMemStats(&m1)
+		lane.Close()
+		bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(trials)
+		allocsPer := float64(m1.Mallocs-m0.Mallocs) / float64(trials)
+		t.Logf("warm lane, width %d: %.1f B/trial, %.2f allocs/trial", width, bytesPer, allocsPer)
+		if bytesPer > 128 {
+			t.Errorf("warm lockstep lane of width %d allocates %.1f B/trial, want < 128", width, bytesPer)
+		}
 	}
 }

@@ -74,7 +74,7 @@ type Batch struct {
 	// Workers, it must never affect results, only wall-clock time.
 	ForceProgramPath bool
 	// LaneWidth selects the lockstep lane width of the stepper fast
-	// path: 0 = automatic (AutoLaneWidth of the graph size), ≥ 1 =
+	// path: 0 = automatic (one resident trial per worker), ≥ 1 =
 	// exactly that many resident trials per worker, < 0 = the legacy
 	// one-trial-at-a-time stepper path (a diagnostics knob like
 	// ForceProgramPath; the differential suite uses it to prove lane
@@ -145,43 +145,17 @@ func (b Batch) shardSpan() (lo, hi int) {
 // sharded reports whether the batch covers only a shard of its trials.
 func (b Batch) sharded() bool { return b.ShardCount > 1 }
 
-// DefaultLaneWidth is the widest automatic lockstep lane: wide enough
-// to amortize per-sweep overhead and stepper builds across resident
-// trials. AutoLaneWidth narrows it on large graphs.
-const DefaultLaneWidth = 8
-
-// laneAutoBudget caps the summed per-trial working set the automatic
-// lane width keeps resident per worker. Each interleaved trial
-// touches O(n) state every sweep (dense Sample counters, whiteboard
-// partitions, walker scratch), so widths whose combined footprint
-// outgrows the cache run slower than the per-trial path — measured:
-// width 8 at n = 65536 is ~6× slower than width 1 on one core.
-const laneAutoBudget = 1 << 21
-
-// AutoLaneWidth is the lockstep lane width a Batch with LaneWidth 0
-// resolves to on a graph with n vertices: DefaultLaneWidth, narrowed
-// so the resident trials' combined O(n) working set stays within a
-// per-worker cache budget, and never below 1.
-func AutoLaneWidth(n int) int {
-	width := DefaultLaneWidth
-	if per := 32 * n; per > 0 {
-		if w := laneAutoBudget / per; w < width {
-			width = w
-		}
-	}
-	return max(width, 1)
-}
-
 // laneWidth resolves the batch's lockstep lane width (0 when the
-// legacy per-trial stepper path was requested).
+// legacy per-trial stepper path was requested). The automatic width
+// is one resident trial per worker: the paper algorithms' walker
+// scratch is large and hot, so several resident trials evict each
+// other from L1d and L2 — width 8 measured 15–35% slower than width 1
+// at every n from 256 to 8192 — while short baseline trials run at
+// the same speed either way.
 func (b Batch) laneWidth() int {
 	switch {
 	case b.LaneWidth == 0:
-		n := 0
-		if b.Graph != nil {
-			n = b.Graph.N()
-		}
-		return AutoLaneWidth(n)
+		return 1
 	case b.LaneWidth < 0:
 		return 0
 	}
