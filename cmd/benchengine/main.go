@@ -1,13 +1,12 @@
 // Command benchengine emits BENCH_engine.json: the fixed reference
 // batch (whiteboard vs sweep, 200 trials each on PlantedMinDegree
 // (1024, 181), batch seed 7) that gives later changes a perf
-// trajectory to compare against. Each batch is timed four ways — the
-// lockstep lane path (the engine default) in parallel and serially,
-// the legacy one-trial-at-a-time stepper path serially, and the
-// goroutine-backed Program path serially — and the aggregates of every
-// run are checked byte-identical before anything is written. The aggregates are
-// deterministic; only the *_elapsed_ms fields vary between machines
-// and runs.
+// trajectory to compare against. Each batch is timed at the
+// configured worker count and rerun at another one, and the two
+// aggregates are checked byte-identical before anything is written;
+// the strategy's native stepper setup is timed against the same
+// strategy hosted on coroutines. The aggregates are deterministic;
+// only the *_elapsed_ms fields vary between machines and runs.
 //
 // In addition to the reference batch the report carries a large
 // scaling preset (default PlantedMinDegree(65536, 256), 20 whiteboard
@@ -17,8 +16,8 @@
 // trip per format (io.read_elapsed_ms for binary v2 against
 // io.read_text_elapsed_ms for v1 text). A third preset ("mega",
 // default 10M sweep trials on PlantedMinDegree(64, 8)) exercises the
-// streaming reducer: the batch runs through RunBatchStreaming and the
-// report records the live heap afterwards as a bounded-memory witness.
+// engine's bounded-memory reducer: the report records the live heap
+// after the batch as a witness.
 //
 // A "scenarios" preset reruns the reference workload as explicit
 // job-layer scenarios: a two-agent whiteboard sweep over wake delays
@@ -69,72 +68,23 @@ import (
 
 type batchReport struct {
 	Aggregate *fnr.Aggregate `json:"aggregate"`
-	// ElapsedMS is wall-clock for the batch on the lockstep lane path
-	// (the engine default) at the configured worker count
-	// (machine-dependent; excluded from determinism claims, like
+	// ElapsedMS is wall-clock for the batch at the configured worker
+	// count (machine-dependent; excluded from determinism claims, like
 	// every elapsed field here).
 	ElapsedMS int64 `json:"elapsed_ms"`
-	// TrialsPerSec is Trials / ElapsedMS — throughput of the default
-	// path at the configured worker count.
+	// TrialsPerSec is Trials / ElapsedMS at the configured workers.
 	TrialsPerSec float64 `json:"trials_per_sec"`
-	// LaneWidth is the lockstep lane width of the timed runs.
-	LaneWidth int `json:"lane_width"`
-	// SerialElapsedMS is wall-clock for the goroutine-backed Program
-	// path at one worker — the classic path, kept as the baseline the
-	// stepper path is measured against.
-	SerialElapsedMS int64 `json:"serial_elapsed_ms"`
-	// StepperElapsedMS is wall-clock for the legacy one-trial-at-a-
-	// time stepper path (LaneWidth -1) at one worker — the PR 5 fast
-	// path, kept timed so the lockstep gain stays visible.
-	StepperElapsedMS int64 `json:"stepper_elapsed_ms"`
-	// LockstepElapsedMS is wall-clock for the lockstep lane path at
-	// one worker.
-	LockstepElapsedMS int64 `json:"lockstep_elapsed_ms"`
-	// StepperSpeedup is SerialElapsedMS / StepperElapsedMS: how much
-	// the goroutine-free path gains over the goroutine path, serial
-	// against serial.
-	StepperSpeedup float64 `json:"stepper_speedup"`
-	// LockstepSpeedup is StepperElapsedMS / LockstepElapsedMS: what
-	// batch-resident lockstep execution gains over running the same
-	// steppers one trial at a time, serial against serial.
-	LockstepSpeedup float64 `json:"lockstep_speedup"`
 	// NativeSetupElapsedMS and CoroutineSetupElapsedMS time the pure
 	// per-trial stepper setup cost over setup-cycles build+Init+Finish
 	// cycles: the registered native state machines against the same
 	// strategy's Programs hosted on iter.Pull coroutines
-	// (ProgramStepper) — the setup the fast path paid for the paper's
-	// algorithms before their native rewrite. Machine-dependent, like
+	// (ProgramStepper) — the setup a batch pays per trial for a
+	// strategy registered with Build alone. Machine-dependent, like
 	// every elapsed field.
 	NativeSetupElapsedMS    int64 `json:"native_setup_elapsed_ms"`
 	CoroutineSetupElapsedMS int64 `json:"coroutine_setup_elapsed_ms"`
 	// SetupSpeedup is CoroutineSetupElapsedMS / NativeSetupElapsedMS.
 	SetupSpeedup float64 `json:"setup_speedup"`
-}
-
-// largeBatchReport times one large-preset batch: the stepper fast
-// path in parallel and serially. The goroutine-backed Program path is
-// not re-timed at this scale — the reference batches above already
-// track that ratio, and the differential suite proves the paths
-// byte-identical.
-type largeBatchReport struct {
-	Aggregate *fnr.Aggregate `json:"aggregate"`
-	// ElapsedMS is wall-clock for the lockstep lane path (the engine
-	// default) at the configured worker count.
-	ElapsedMS int64 `json:"elapsed_ms"`
-	// TrialsPerSec is Trials / ElapsedMS at the configured workers.
-	TrialsPerSec float64 `json:"trials_per_sec"`
-	// LaneWidth is the lockstep lane width of the timed runs.
-	LaneWidth int `json:"lane_width"`
-	// StepperElapsedMS is wall-clock for the legacy per-trial stepper
-	// path at one worker; LockstepElapsedMS for the lane path at one
-	// worker; LockstepSpeedup their ratio (as in batchReport).
-	StepperElapsedMS  int64   `json:"stepper_elapsed_ms"`
-	LockstepElapsedMS int64   `json:"lockstep_elapsed_ms"`
-	LockstepSpeedup   float64 `json:"lockstep_speedup"`
-	// Setup costs, as in batchReport.
-	NativeSetupElapsedMS    int64   `json:"native_setup_elapsed_ms"`
-	CoroutineSetupElapsedMS int64   `json:"coroutine_setup_elapsed_ms"`
-	SetupSpeedup            float64 `json:"setup_speedup"`
 }
 
 // largeReport is the n=65536 scaling preset: generation and
@@ -148,8 +98,8 @@ type largeReport struct {
 	// GenElapsedMS is wall-clock for generating the preset's graph.
 	GenElapsedMS int64 `json:"gen_elapsed_ms"`
 	// Serialization round-trip costs (see ioReport).
-	IO      *ioReport                   `json:"io,omitempty"`
-	Batches map[string]largeBatchReport `json:"batches"`
+	IO      *ioReport              `json:"io,omitempty"`
+	Batches map[string]batchReport `json:"batches"`
 }
 
 // ioReport times one serialize→parse round trip per format on the
@@ -202,7 +152,6 @@ type hugeReport struct {
 	Algorithm    string         `json:"algorithm"`
 	ElapsedMS    int64          `json:"elapsed_ms"`
 	TrialsPerSec float64        `json:"trials_per_sec"`
-	LaneWidth    int            `json:"lane_width"`
 	Aggregate    *fnr.Aggregate `json:"aggregate"`
 }
 
@@ -267,9 +216,9 @@ type scenarioEntry struct {
 }
 
 // megaReport is the streaming-aggregation preset: a 10M-trial batch
-// on a tiny instance, run through RunBatchStreaming, proving the
-// engine sustains trial counts whose outcome slice alone would cost
-// hundreds of MB — with bounded engine-owned memory.
+// on a tiny instance, proving the engine sustains trial counts whose
+// outcome slice alone would cost hundreds of MB — with bounded
+// engine-owned memory.
 type megaReport struct {
 	N         int    `json:"n"`
 	D         int    `json:"d"`
@@ -357,8 +306,8 @@ func timeReads(g *fnr.Graph) *ioReport {
 // loop builds the registered state machines; the coroutine loop hosts
 // the same strategy's Programs on ProgramStepper, whose Init creates
 // (and Finish unwinds) an iter.Pull coroutine per agent — what the
-// engine's fast path paid per trial for the paper's algorithms before
-// their native rewrite. GC-fenced; ms floored at 1.
+// engine pays per trial for a strategy registered with Build alone.
+// GC-fenced; ms floored at 1.
 func timeSetups(name string, g *fnr.Graph, delta, cycles int, seed uint64) (nativeMS, coroMS int64) {
 	a, err := fnr.ParseAlgorithm(name)
 	if err != nil {
@@ -418,19 +367,29 @@ func timedRun(b fnr.Batch) (*fnr.Aggregate, int64) {
 	return agg, max(time.Since(start).Milliseconds(), 1)
 }
 
-// timedRunBest is timedRun keeping the fastest of reps runs. The
-// serial-path timings exist to support ratio claims (lockstep vs
-// per-trial vs goroutine), and on a shared host a single GC cycle or
-// noisy-neighbor stall would otherwise decide a ratio one run paid
-// and the other did not.
-func timedRunBest(b fnr.Batch, reps int) (*fnr.Aggregate, int64) {
-	agg, best := timedRun(b)
-	for i := 1; i < reps; i++ {
-		if _, e := timedRun(b); e < best {
-			best = e
-		}
+// benchBatch times the batch at its worker count, reruns it at another
+// worker count to check the aggregate does not depend on it, and times
+// the strategy's native stepper setup against its coroutine-hosted
+// Programs.
+func benchBatch(batch fnr.Batch, setupCycles int) batchReport {
+	agg, elapsed := timedRun(batch)
+	other := batch
+	other.Workers = 1
+	if batch.Workers == 1 {
+		other.Workers = 4
 	}
-	return agg, best
+	if otherAgg, _ := timedRun(other); !otherAgg.Equal(agg) {
+		log.Fatalf("%s: aggregates differ across worker counts — engine determinism broken", batch.Algorithm)
+	}
+	nativeSetup, coroSetup := timeSetups(batch.Algorithm, batch.Graph, batch.Delta, setupCycles, batch.Seed)
+	return batchReport{
+		Aggregate:               agg,
+		ElapsedMS:               elapsed,
+		TrialsPerSec:            float64(batch.Trials) / (float64(elapsed) / 1000),
+		NativeSetupElapsedMS:    nativeSetup,
+		CoroutineSetupElapsedMS: coroSetup,
+		SetupSpeedup:            float64(coroSetup) / float64(nativeSetup),
+	}
 }
 
 // genWorkload reproduces the fixed workload derivation — the planted
@@ -644,14 +603,9 @@ func runHuge(n, d, trials int, seed uint64, workers, shardIndex, shardCount int,
 	agg, elapsed := timedRun(batch)
 	hrep.ElapsedMS = elapsed
 	hrep.TrialsPerSec = float64(trials) / (float64(elapsed) / 1000)
-	hrep.LaneWidth = autoLaneWidth
 	hrep.Aggregate = agg
 	return hrep
 }
-
-// autoLaneWidth is the lane width Batch.LaneWidth 0 selects: one
-// resident trial per worker.
-const autoLaneWidth = 1
 
 func main() {
 	log.SetFlags(0)
@@ -676,7 +630,6 @@ func main() {
 		wakeDelays     = flag.String("wake-delays", "0,16,256", "comma-separated wake delays τ for the scenario sweep")
 
 		shard           = flag.String("shard", "", "run batch shard i of k, format i/k (trial seeds stay global; merge reducers across shards)")
-		assertLockstep  = flag.Bool("assert-lockstep", false, "fail if the lockstep lane path is slower than the per-trial stepper path on any preset (CI smoke)")
 		mega            = flag.Bool("mega", true, "also run the 10M-trial streaming-aggregation preset")
 		megaTrials      = flag.Int("mega-trials", 10_000_000, "streaming preset trials")
 		megaN           = flag.Int("mega-n", 64, "streaming preset graph size")
@@ -745,43 +698,7 @@ func main() {
 			ShardIndex: shardIndex,
 			ShardCount: shardCount,
 		}
-		// Lockstep lane path (the engine default), configured workers.
-		agg, elapsed := timedRun(batch)
-
-		// Lockstep lane path, serial.
-		batch.Workers = 1
-		lockAgg, lockElapsed := timedRunBest(batch, 3)
-
-		// Legacy one-trial-at-a-time stepper path, serial.
-		batch.LaneWidth = -1
-		stepperAgg, stepperElapsed := timedRunBest(batch, 3)
-
-		// Goroutine-backed Program path, serial.
-		batch.LaneWidth = 0
-		batch.ForceProgramPath = true
-		serialAgg, serialElapsed := timedRunBest(batch, 3)
-
-		if !serialAgg.Equal(agg) || !stepperAgg.Equal(agg) || !lockAgg.Equal(agg) {
-			log.Fatalf("%s: aggregates differ across paths/workers — engine determinism broken", name)
-		}
-		if *assertLockstep && lockElapsed > stepperElapsed+stepperElapsed/4+2 {
-			log.Fatalf("%s: lockstep lane (%dms) slower than per-trial stepper path (%dms)", name, lockElapsed, stepperElapsed)
-		}
-		nativeSetup, coroSetup := timeSetups(name, g, g.MinDegree(), *setupCycles, *seed)
-		rep.Batches[name] = batchReport{
-			Aggregate:               agg,
-			ElapsedMS:               elapsed,
-			TrialsPerSec:            float64(*trials) / (float64(elapsed) / 1000),
-			LaneWidth:               autoLaneWidth,
-			SerialElapsedMS:         serialElapsed,
-			StepperElapsedMS:        stepperElapsed,
-			LockstepElapsedMS:       lockElapsed,
-			StepperSpeedup:          float64(serialElapsed) / float64(stepperElapsed),
-			LockstepSpeedup:         float64(stepperElapsed) / float64(lockElapsed),
-			NativeSetupElapsedMS:    nativeSetup,
-			CoroutineSetupElapsedMS: coroSetup,
-			SetupSpeedup:            float64(coroSetup) / float64(nativeSetup),
-		}
+		rep.Batches[name] = benchBatch(batch, *setupCycles)
 	}
 
 	if *scenarios {
@@ -801,7 +718,7 @@ func main() {
 			N: *largeN, D: *largeD, Trials: *largeTrials, Seed: *seed,
 			Workers: workers, GenElapsedMS: lGenMS,
 			IO:      timeReads(lg),
-			Batches: map[string]largeBatchReport{},
+			Batches: map[string]batchReport{},
 		}
 		for _, name := range []string{"whiteboard"} {
 			batch := fnr.Batch{
@@ -816,30 +733,7 @@ func main() {
 				ShardIndex: shardIndex,
 				ShardCount: shardCount,
 			}
-			agg, elapsed := timedRun(batch)
-			batch.Workers = 1
-			lockAgg, lockElapsed := timedRunBest(batch, 3)
-			batch.LaneWidth = -1
-			stepperAgg, stepperElapsed := timedRunBest(batch, 3)
-			if !stepperAgg.Equal(agg) || !lockAgg.Equal(agg) {
-				log.Fatalf("large %s: aggregates differ across paths/workers — engine determinism broken", name)
-			}
-			if *assertLockstep && lockElapsed > stepperElapsed+stepperElapsed/4+2 {
-				log.Fatalf("large %s: lockstep lane (%dms) slower than per-trial stepper path (%dms)", name, lockElapsed, stepperElapsed)
-			}
-			nativeSetup, coroSetup := timeSetups(name, lg, lg.MinDegree(), *setupCycles, *seed)
-			lrep.Batches[name] = largeBatchReport{
-				Aggregate:               agg,
-				ElapsedMS:               elapsed,
-				TrialsPerSec:            float64(*largeTrials) / (float64(elapsed) / 1000),
-				LaneWidth:               autoLaneWidth,
-				StepperElapsedMS:        stepperElapsed,
-				LockstepElapsedMS:       lockElapsed,
-				LockstepSpeedup:         float64(stepperElapsed) / float64(lockElapsed),
-				NativeSetupElapsedMS:    nativeSetup,
-				CoroutineSetupElapsedMS: coroSetup,
-				SetupSpeedup:            float64(coroSetup) / float64(nativeSetup),
-			}
+			lrep.Batches[name] = benchBatch(batch, *setupCycles)
 		}
 		rep.Large = lrep
 	}
@@ -903,8 +797,7 @@ func main() {
 	log.Printf("gen n=%d d=%d: %dms", *n, *d, rep.GenElapsedMS)
 	for _, name := range []string{"whiteboard", "sweep"} {
 		b := rep.Batches[name]
-		log.Printf("%s: lockstep %dms vs per-trial %dms vs goroutine %dms serial (%.1fx lockstep), %dms at %d workers (%.0f trials/s)",
-			name, b.LockstepElapsedMS, b.StepperElapsedMS, b.SerialElapsedMS, b.LockstepSpeedup, b.ElapsedMS, workers, b.TrialsPerSec)
+		log.Printf("%s: %dms at %d workers (%.0f trials/s)", name, b.ElapsedMS, workers, b.TrialsPerSec)
 		log.Printf("%s setup: native %dms vs coroutine %dms per %d cycles (%.1fx)",
 			name, b.NativeSetupElapsedMS, b.CoroutineSetupElapsedMS, *setupCycles, b.SetupSpeedup)
 	}
@@ -925,8 +818,7 @@ func main() {
 		log.Printf("large read: binary %dms (%d bytes) vs text %dms (%d bytes), %.1fx",
 			rep.Large.IO.ReadElapsedMS, rep.Large.IO.Bytes, rep.Large.IO.ReadTextElapsedMS, rep.Large.IO.TextBytes, rep.Large.IO.ReadSpeedup)
 		for name, b := range rep.Large.Batches {
-			log.Printf("large %s: %d trials, lockstep %dms vs per-trial %dms at 1 worker (%.1fx), %dms at %d workers",
-				name, rep.Large.Trials, b.LockstepElapsedMS, b.StepperElapsedMS, b.LockstepSpeedup, b.ElapsedMS, workers)
+			log.Printf("large %s: %d trials in %dms at %d workers", name, rep.Large.Trials, b.ElapsedMS, workers)
 			log.Printf("large %s setup: native %dms vs coroutine %dms per %d cycles (%.1fx)",
 				name, b.NativeSetupElapsedMS, b.CoroutineSetupElapsedMS, *setupCycles, b.SetupSpeedup)
 		}

@@ -196,7 +196,7 @@ var (
 	// counterpart of a Program panic).
 	ActAbort = sim.Abort
 	// ProgramStepper adapts a direct-style Program into a Stepper via
-	// a lightweight coroutine, keeping it on the fast path without a
+	// a lightweight coroutine, so it runs in batches without a
 	// state-machine rewrite.
 	ProgramStepper = sim.NewProgramStepper
 	// AlgorithmSteppersFromPrograms lifts an AlgorithmSpec.Build
@@ -327,23 +327,20 @@ type (
 // value, which collides with AlgWhiteboard's rank — panics at
 // registration.
 //
-// A spec can describe its agents two ways, and the choice is a
-// throughput tradeoff:
+// A spec describes its agents two ways:
 //
 //   - Build (required) constructs direct-style Programs: ordinary Go
 //     functions, easiest to write and read, each hosted on its own
 //     goroutine with two channel handoffs per acting round when run
 //     via Rendezvous/RunPrograms.
-//   - BuildSteppers (optional) constructs state-machine Steppers that
-//     the simulator steps inline — no goroutines, no channels, and
-//     with per-trial scratch reuse inside RunBatch. Batches select
-//     this fast path automatically when it is present; on the
-//     reference benchmark it is several times faster per trial.
+//   - BuildSteppers constructs the state-machine Steppers that
+//     RunBatch steps inline, with per-trial scratch reuse. Left nil,
+//     registration fills it with AlgorithmSteppersFromPrograms(Build),
+//     which hosts the Build programs on coroutines; a native state
+//     machine saves that per-trial coroutine setup.
 //
 // A spec that provides both must keep them behaviorally identical
-// (same actions, same RNG draw order). The cheap middle ground is
-// AlgorithmSteppersFromPrograms, which hosts the Build programs on
-// coroutines: direct style, most of the fast-path win, no rewrite.
+// (same actions, same RNG draw order).
 var RegisterAlgorithm = algo.Register
 
 // Options tunes a Rendezvous run. The zero value is usable for every
@@ -404,8 +401,7 @@ func BuildPrograms(a Algorithm, opt Options) (Program, Program, error) {
 
 // BuildSteppers constructs one run's Stepper pair for a registered
 // algorithm — the state-machine counterpart of BuildPrograms, for
-// RunSteppers. It fails for algorithms without a stepper builder
-// (those run on the Program path only). Steppers are stateful: build
+// RunSteppers. Steppers are stateful: build
 // a fresh pair per run, and FinishStepper any pair that is never
 // handed to a run.
 func BuildSteppers(a Algorithm, opt Options) (Stepper, Stepper, error) {
@@ -461,8 +457,8 @@ type (
 	// round and move distributions).
 	Aggregate = engine.Aggregate
 	// BatchReducer is the bounded-memory outcome accumulator behind
-	// RunBatchStreaming — and the composition point for sharded
-	// sweeps (see Batch.ShardCount and RunBatchReduced).
+	// RunBatch — and the composition point for sharded sweeps (see
+	// Batch.ShardCount and RunBatchReduced).
 	BatchReducer = engine.Reducer
 	// TrialSpan is a half-open global trial-index range [Lo, Hi): a
 	// sharded batch's coverage metadata on reducers and aggregates.
@@ -475,10 +471,10 @@ type (
 // MergeBatchReducers combines per-shard (or per-worker) reducers;
 // the merge is order- and partition-insensitive, and shard spans
 // coalesce. Merging every shard of a batch and aggregating yields
-// byte-identical JSON to the unsharded streaming run.
+// byte-identical JSON to the unsharded run.
 var MergeBatchReducers = engine.Merge
 
-// RunBatchReduced is RunBatchStreaming stopping one step earlier: it
+// RunBatchReduced is RunBatch stopping one step earlier: it
 // returns the batch's merged reducer instead of the final aggregate,
 // so shards run in separate processes can be combined with
 // MergeBatchReducers before calling Aggregate.
@@ -497,7 +493,9 @@ func RunBatchReducedContext(ctx context.Context, b Batch) (*BatchReducer, error)
 }
 
 // RunBatch fans the batch's trials across a worker pool and returns
-// the streamed aggregate. Each trial's seed derives from
+// their aggregate. Outcomes stream into per-worker reducers as trials
+// finish, so memory scales with the number of distinct observed
+// values, not the trial count. Each trial's seed derives from
 // (Batch.Seed, trial index), so the result is bit-identical for any
 // Workers setting.
 func RunBatch(b Batch) (*Aggregate, error) { return engine.Run(context.Background(), b) }
@@ -513,23 +511,6 @@ func RunBatchContext(ctx context.Context, b Batch) (*Aggregate, error) {
 // trial order instead of the aggregate.
 func RunBatchOutcomes(b Batch) ([]BatchOutcome, error) {
 	return engine.RunOutcomes(context.Background(), b)
-}
-
-// RunBatchStreaming is RunBatch with bounded-memory aggregation:
-// outcomes stream into per-worker reducers as trials finish, so
-// engine-owned memory scales with the number of distinct observed
-// values, not the trial count — the entry point for 10M-trial
-// batches. Results are deterministic at any Workers/LaneWidth
-// setting; the means may differ from RunBatch by a few ULPs (exact
-// multiset mean vs trial-ordered Welford — see engine.RunStreaming).
-func RunBatchStreaming(b Batch) (*Aggregate, error) {
-	return engine.RunStreaming(context.Background(), b)
-}
-
-// RunBatchStreamingContext is RunBatchStreaming under a context; a
-// cancelled run returns (nil, ctx.Err()).
-func RunBatchStreamingContext(ctx context.Context, b Batch) (*Aggregate, error) {
-	return engine.RunStreaming(ctx, b)
 }
 
 // Fault-tolerance surface, re-exported from the engine: crash-safe

@@ -1,6 +1,7 @@
 package fnr
 
 import (
+	"encoding/json"
 	"math/rand/v2"
 	"testing"
 )
@@ -165,6 +166,45 @@ func TestRunBatchFacade(t *testing.T) {
 	bad.Delta = 0
 	if _, err := RunBatch(bad); err == nil {
 		t.Error("noboard batch without Delta accepted")
+	}
+}
+
+// RunBatch and the job layer (what fnrd serves) must return the same
+// aggregate bytes for the same batch — here the served spec of the CI
+// server smoke: whiteboard on planted(1024, 181), seed 7, 200 trials.
+func TestRunBatchMatchesJobAggregate(t *testing.T) {
+	spec := JobSpec{
+		Algorithm: "whiteboard",
+		Workload:  &JobWorkload{Kind: "planted", N: 1024, D: 181, Seed: 7},
+		Trials:    200,
+		Seed:      7,
+	}
+	m, err := MaterializeWorkload(*spec.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunJobBuilt(t.Context(), spec, m, JobExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res.Aggregate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := RunBatch(Batch{
+		Graph: m.Graph, StartA: m.StartA, StartB: m.StartB,
+		Algorithm: "whiteboard", Delta: m.Graph.MinDegree(),
+		Trials: 200, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("RunBatch aggregate differs from the job layer's:\nRunBatch: %s\njob:      %s", got, want)
 	}
 }
 

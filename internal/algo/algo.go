@@ -92,15 +92,14 @@ type Spec struct {
 	// Build constructs a fresh program pair for one run. Programs are
 	// stateful closures: call Build once per trial.
 	Build func(o BuildOpts) (a, b sim.Program, err error)
-	// BuildSteppers, when non-nil, constructs the strategy as a pair
-	// of state-machine steppers for the engine's goroutine-free fast
-	// path; the engine prefers it automatically. It must be
+	// BuildSteppers constructs the strategy as a pair of
+	// state-machine steppers, the form the engine runs. It must be
 	// behaviorally identical to Build — same action sequence, same
-	// RNG draw order — so that a batch produces byte-identical
-	// results on either path (internal/engine's differential suite
-	// enforces this for every registered strategy). Direct-style
-	// strategies can satisfy it cheaply with SteppersFromPrograms;
-	// specs that leave it nil simply stay on the Program path.
+	// RNG draw order — so that a single run and a batch trial agree
+	// (internal/engine's differential suite enforces this for every
+	// registered strategy). Register fills a nil BuildSteppers with
+	// SteppersFromPrograms(Build), which hosts the Programs on
+	// coroutines; native state machines skip that per-trial setup.
 	BuildSteppers func(o BuildOpts) (a, b sim.Stepper, err error)
 	// BuildTeam, when non-nil, constructs the strategy for a k-agent
 	// scenario (k > 2): one stepper per agent, in team order. It is
@@ -135,12 +134,9 @@ func (s Spec) Programs(o BuildOpts) (a, b sim.Program, err error) {
 }
 
 // Steppers builds a fresh stepper pair after validating o against the
-// spec's capabilities; it fails for specs without a stepper builder.
-// Prefer this over calling BuildSteppers directly.
+// spec's capabilities. Prefer this over calling BuildSteppers
+// directly.
 func (s Spec) Steppers(o BuildOpts) (a, b sim.Stepper, err error) {
-	if s.BuildSteppers == nil {
-		return nil, nil, fmt.Errorf("algo %q: no stepper builder (Program path only)", s.Name)
-	}
 	if err := s.check(o); err != nil {
 		return nil, nil, err
 	}
@@ -197,9 +193,9 @@ func (s Spec) SupportsTeam() bool { return s.BuildTeam != nil }
 
 // SteppersFromPrograms lifts a Program-pair builder into a
 // stepper-pair builder by hosting each program on a lightweight
-// coroutine (sim.NewProgramStepper): direct-style strategies ride the
-// engine's fast path without being rewritten as state machines. The
-// paper's two algorithms register their BuildSteppers this way.
+// coroutine (sim.NewProgramStepper): direct-style strategies run in
+// the engine without being rewritten as state machines. Register
+// applies it to every spec that leaves BuildSteppers nil.
 func SteppersFromPrograms(build func(o BuildOpts) (a, b sim.Program, err error)) func(o BuildOpts) (a, b sim.Stepper, err error) {
 	return func(o BuildOpts) (sim.Stepper, sim.Stepper, error) {
 		a, b, err := build(o)
@@ -215,8 +211,9 @@ var (
 	registry = map[string]Spec{}
 )
 
-// Register adds a spec to the registry. It panics on an empty name, a
-// nil Build, a duplicate name, or a duplicate Order — all programmer
+// Register adds a spec to the registry, filling a nil BuildSteppers
+// with SteppersFromPrograms(Build). It panics on an empty name, a nil
+// Build, a duplicate name, or a duplicate Order — all programmer
 // errors at init time. The Order check is what keeps fnr.Algorithm
 // values stable: an unset (zero) Order on a third-party spec would
 // otherwise sort among the built-ins and renumber them.
@@ -226,6 +223,9 @@ func Register(s Spec) {
 	}
 	if s.Build == nil {
 		panic(fmt.Sprintf("algo: Register(%q) with nil Build", s.Name))
+	}
+	if s.BuildSteppers == nil {
+		s.BuildSteppers = SteppersFromPrograms(s.Build)
 	}
 	mu.Lock()
 	defer mu.Unlock()

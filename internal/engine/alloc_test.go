@@ -24,7 +24,7 @@ func bytesPerTrial(t *testing.T, b Batch, trials int, tcFor func() *sim.TrialCon
 	// measured pass sees the steady state the gates are about. (For
 	// the fresh-context supplier this warm-up changes nothing.)
 	for i := 0; i <= trials; i++ {
-		if out := runStepperTrial(b, spec, opts, tcFor(), i); out.Err {
+		if out := soloTrial(b, spec, opts, tcFor(), i); out.Err {
 			t.Fatalf("warm-up trial %d errored", i)
 		}
 	}
@@ -32,7 +32,7 @@ func bytesPerTrial(t *testing.T, b Batch, trials int, tcFor func() *sim.TrialCon
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	for i := 1; i <= trials; i++ {
-		if out := runStepperTrial(b, spec, opts, tcFor(), i); out.Err {
+		if out := soloTrial(b, spec, opts, tcFor(), i); out.Err {
 			t.Fatalf("trial %d errored", i)
 		}
 	}
@@ -121,7 +121,7 @@ func TestNativePaperStepperSetupAllocs(t *testing.T) {
 // lockstep lane path (CI runs it via the -run 'Allocs' step): once a
 // lane is warm — steppers built, per-slot scratch grown — re-running
 // a whiteboard trial range must cost under 128 B/trial amortized, at
-// the default width 1 and at width 8. The lane's whole point is that
+// the engine's width 1 and at width 8. The lane's whole point is that
 // per-trial setup (stepper builds, result boxes, context re-arming)
 // amortizes to nothing; this pins it.
 func TestLockstepLaneAllocs(t *testing.T) {
@@ -150,7 +150,7 @@ func TestLockstepLaneAllocs(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
-	for _, width := range []int{b.laneWidth(), 8} {
+	for _, width := range []int{1, 8} {
 		lane := sim.NewTrialLane(width, func() (sim.Stepper, sim.Stepper, error) {
 			return spec.Steppers(opts)
 		})

@@ -11,7 +11,7 @@ import (
 // BenchmarkPaperBatch4096x128 times the served paper-batch shape: on
 // a planted(4096, 128) graph — Theorem 1's regime, δ > √n — a
 // 128-trial whiteboard batch then a 128-trial noboard batch from one
-// start pair, at the default lane width on one worker. Each op builds
+// start pair, on one worker. Each op builds
 // its lanes afresh, as every served batch does.
 func BenchmarkPaperBatch4096x128(b *testing.B) {
 	const n, d, trials = 4096, 128, 128

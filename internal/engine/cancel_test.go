@@ -10,7 +10,7 @@ import (
 )
 
 // cancelBatch is a batch big enough that a racing cancel reliably
-// lands mid-run on every execution path.
+// lands mid-run.
 func cancelBatch(t *testing.T) Batch {
 	t.Helper()
 	g, sa, sb := testGraph(t)
@@ -34,63 +34,50 @@ func TestCancelMidBatchReturnsCoveredPartialState(t *testing.T) {
 	}
 	wantAgg, _ := json.Marshal(want.Aggregate(b))
 
-	paths := []struct {
-		name string
-		mut  func(*Batch)
-	}{
-		{"lanes", func(b *Batch) {}},
-		{"legacy stepper", func(b *Batch) { b.LaneWidth = -1 }},
-		{"program", func(b *Batch) { b.ForceProgramPath = true }},
-	}
-	for _, p := range paths {
-		pb := b
-		p.mut(&pb)
-		ctx, cancel := context.WithCancel(t.Context())
-		go func() {
-			time.Sleep(2 * time.Millisecond)
-			cancel()
-		}()
-		r, err := RunReduced(ctx, pb)
+	ctx, cancel := context.WithCancel(t.Context())
+	go func() {
+		time.Sleep(2 * time.Millisecond)
 		cancel()
-		if err == nil {
-			// The batch outran the cancel; nothing to assert beyond
-			// the result being the reference.
-			if blob, _ := json.Marshal(r.Aggregate(pb)); string(blob) != string(wantAgg) {
-				t.Errorf("%s: uncancelled run diverged from reference", p.name)
-			}
-			continue
+	}()
+	r, err := RunReduced(ctx, b)
+	cancel()
+	if err == nil {
+		// The batch outran the cancel; nothing to assert beyond the
+		// result being the reference.
+		if blob, _ := json.Marshal(r.Aggregate(b)); string(blob) != string(wantAgg) {
+			t.Error("uncancelled run diverged from reference")
 		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", p.name, err)
+		return
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	covered := 0
+	spans := r.Spans()
+	for i, s := range spans {
+		if s.Lo >= s.Hi || s.Lo < 0 || s.Hi > b.Trials {
+			t.Fatalf("malformed span %v", s)
 		}
-		covered := 0
-		spans := r.Spans()
-		for i, s := range spans {
-			if s.Lo >= s.Hi || s.Lo < 0 || s.Hi > pb.Trials {
-				t.Fatalf("%s: malformed span %v", p.name, s)
-			}
-			if i > 0 && s.Lo <= spans[i-1].Hi {
-				t.Fatalf("%s: spans not coalesced-ascending: %v", p.name, spans)
-			}
-			covered += s.Hi - s.Lo
+		if i > 0 && s.Lo <= spans[i-1].Hi {
+			t.Fatalf("spans not coalesced-ascending: %v", spans)
 		}
-		if covered != r.trials {
-			t.Fatalf("%s: spans cover %d trials but reducer absorbed %d", p.name, covered, r.trials)
-		}
-		if covered == pb.Trials {
-			t.Logf("%s: cancel landed after the last chunk; resume is a no-op", p.name)
-		}
-		// Resume: the partial state plus the uncovered remainder must
-		// reproduce the uninterrupted aggregate exactly.
-		resumed, err := RunCheckpointed(t.Context(), pb, Checkpoint{}, r)
-		if err != nil {
-			t.Fatalf("%s: resume: %v", p.name, err)
-		}
-		gotAgg, _ := json.Marshal(resumed.Aggregate(pb))
-		if string(gotAgg) != string(wantAgg) {
-			t.Errorf("%s: cancel+resume aggregate differs from uninterrupted run:\ngot:  %s\nwant: %s",
-				p.name, gotAgg, wantAgg)
-		}
+		covered += s.Hi - s.Lo
+	}
+	if covered != r.trials {
+		t.Fatalf("spans cover %d trials but reducer absorbed %d", covered, r.trials)
+	}
+	if covered == b.Trials {
+		t.Log("cancel landed after the last chunk; resume is a no-op")
+	}
+	// Resume: the partial state plus the uncovered remainder must
+	// reproduce the uninterrupted aggregate exactly.
+	resumed, err := RunCheckpointed(t.Context(), b, Checkpoint{}, r)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	gotAgg, _ := json.Marshal(resumed.Aggregate(b))
+	if string(gotAgg) != string(wantAgg) {
+		t.Errorf("cancel+resume aggregate differs from uninterrupted run:\ngot:  %s\nwant: %s", gotAgg, wantAgg)
 	}
 }
 
@@ -113,29 +100,19 @@ func TestPreCancelledContext(t *testing.T) {
 	if agg, err := Run(ctx, b); agg != nil || !errors.Is(err, context.Canceled) {
 		t.Errorf("Run: (%v, %v), want (nil, context.Canceled)", agg, err)
 	}
-	if agg, err := RunStreaming(ctx, b); agg != nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("RunStreaming: (%v, %v), want (nil, context.Canceled)", agg, err)
-	}
 }
 
 // Cancellation must not leak worker goroutines: every worker exits
-// before the Run* call returns, on all three execution paths, even
-// when the cancel races chunk claiming.
+// before the Run* call returns, even when the cancel races chunk
+// claiming.
 func TestCancelLeaksNoGoroutines(t *testing.T) {
 	b := cancelBatch(t)
 	b.Workers = 8
 	before := runtime.NumGoroutine()
-	for i := range 20 {
+	for range 20 {
 		ctx, cancel := context.WithCancel(t.Context())
-		pb := b
-		switch i % 3 {
-		case 1:
-			pb.LaneWidth = -1
-		case 2:
-			pb.ForceProgramPath = true
-		}
 		go cancel() // race the cancel against the whole run
-		if _, err := RunReduced(ctx, pb); err != nil && !errors.Is(err, context.Canceled) {
+		if _, err := RunReduced(ctx, b); err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatal(err)
 		}
 		cancel()

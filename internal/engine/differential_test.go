@@ -3,6 +3,8 @@ package engine
 import (
 	"encoding/json"
 	"math/rand/v2"
+	"strings"
+	"sync"
 	"testing"
 
 	"fnr/internal/algo"
@@ -17,13 +19,59 @@ type diffInstance struct {
 	g    *graph.Graph
 }
 
+// twinOrder offsets a program twin's Order past every real
+// strategy's, so registering twins never renumbers the listing.
+const twinOrder = 1000
+
+// programTwins registers, once per test binary, a test-only oracle
+// twin of every registered strategy: same name plus "~programs", same
+// capabilities and Build, but steppers that host the Build programs
+// on coroutines (algo.SteppersFromPrograms) instead of the strategy's
+// own state machines. It returns the strategy → twin name map.
+var programTwins = sync.OnceValue(func() map[string]string {
+	twins := map[string]string{}
+	for _, spec := range algo.Specs() {
+		if spec.Order >= twinOrder {
+			continue
+		}
+		twin := spec.Name + "~programs"
+		algo.Register(algo.Spec{
+			Name: twin, Order: twinOrder + spec.Order, Caps: spec.Caps,
+			Build: spec.Build, BuildSteppers: algo.SteppersFromPrograms(spec.Build),
+		})
+		twins[spec.Name] = twin
+	}
+	return twins
+})
+
+// runAs runs b under the given strategy name and reports the
+// outcomes and the aggregate JSON with the algorithm echo set back to
+// b.Algorithm, so a twin's bytes compare directly with the original's.
+func runAs(t *testing.T, b Batch, name string) ([]Outcome, []byte) {
+	t.Helper()
+	want := b.Algorithm
+	b.Algorithm = name
+	out, err := RunOutcomes(t.Context(), b)
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", name, b.Workers, err)
+	}
+	agg := aggregateOf(b, out)
+	agg.Algorithm = want
+	blob, err := json.Marshal(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, blob
+}
+
 // The differential suite: for every registered algorithm, across a
-// seed × instance matrix, the goroutine-free stepper path and the
-// goroutine-backed Program path must produce identical per-trial
-// Outcomes and byte-identical Aggregate JSON. This is the contract
-// that lets the engine switch paths freely (and lets benchengine
-// compare their timings honestly). CI runs it under -race, which also
-// exercises the coroutine adapter against the race detector.
+// seed × instance matrix, the strategy's own steppers and its program
+// twin (the Build programs on coroutines) must produce identical
+// per-trial Outcomes and byte-identical Aggregate JSON. This is the
+// contract that keeps a single run (Rendezvous hosts Build) and a
+// batch trial (the engine steps BuildSteppers) in agreement. CI runs
+// it under -race, which also exercises the coroutine adapter against
+// the race detector.
 func TestStepperAndProgramPathsAreIdentical(t *testing.T) {
 	planted, err := graph.PlantedMinDegree(96, 24, rand.New(rand.NewPCG(5, 6)))
 	if err != nil {
@@ -35,46 +83,27 @@ func TestStepperAndProgramPathsAreIdentical(t *testing.T) {
 	}
 	instances := []diffInstance{{"planted96", planted}, {"k16", complete}}
 
+	twins := programTwins()
 	for _, spec := range specsUnderTest(t) {
 		for _, inst := range instances {
 			for _, seed := range []uint64{1, 99} {
 				sa := graph.Vertex(0)
 				sb := inst.g.Adj(sa)[0]
-				base := Batch{
+				b := Batch{
 					Graph: inst.g, StartA: sa, StartB: sb,
 					Algorithm: spec, Delta: inst.g.MinDegree(),
 					Trials: 6, Seed: seed, MaxRounds: 1 << 20,
 				}
-
-				fast := base
-				slow := base
-				slow.ForceProgramPath = true
-
-				fastOut, err := RunOutcomes(t.Context(), fast)
-				if err != nil {
-					t.Fatalf("%s/%s/seed%d stepper path: %v", spec, inst.name, seed, err)
-				}
-				slowOut, err := RunOutcomes(t.Context(), slow)
-				if err != nil {
-					t.Fatalf("%s/%s/seed%d program path: %v", spec, inst.name, seed, err)
-				}
+				fastOut, fastAgg := runAs(t, b, spec)
+				slowOut, slowAgg := runAs(t, b, twins[spec])
 				for i := range fastOut {
 					if fastOut[i] != slowOut[i] {
-						t.Errorf("%s/%s/seed%d trial %d: stepper %+v vs program %+v",
+						t.Errorf("%s/%s/seed%d trial %d: steppers %+v vs programs %+v",
 							spec, inst.name, seed, i, fastOut[i], slowOut[i])
 					}
 				}
-
-				fastAgg, err := json.Marshal(AggregateOutcomes(fast, fastOut))
-				if err != nil {
-					t.Fatal(err)
-				}
-				slowAgg, err := json.Marshal(AggregateOutcomes(slow, slowOut))
-				if err != nil {
-					t.Fatal(err)
-				}
 				if string(fastAgg) != string(slowAgg) {
-					t.Errorf("%s/%s/seed%d: aggregate JSON differs:\nstepper: %s\nprogram: %s",
+					t.Errorf("%s/%s/seed%d: aggregate JSON differs:\nsteppers: %s\nprograms: %s",
 						spec, inst.name, seed, fastAgg, slowAgg)
 				}
 			}
@@ -82,27 +111,33 @@ func TestStepperAndProgramPathsAreIdentical(t *testing.T) {
 	}
 }
 
-// specsUnderTest returns every registered algorithm name, failing the
-// test if the registry is unexpectedly empty (a differential suite
-// that silently tests nothing is worse than a failing one).
+// specsUnderTest returns every registered algorithm name except the
+// program twins, failing the test if the registry is unexpectedly
+// empty (a differential suite that silently tests nothing is worse
+// than a failing one).
 func specsUnderTest(t *testing.T) []string {
 	t.Helper()
-	names := algo.Names()
+	var names []string
+	for _, name := range algo.Names() {
+		if !strings.HasSuffix(name, "~programs") {
+			names = append(names, name)
+		}
+	}
 	if len(names) < 7 {
 		t.Fatalf("registry has %d specs, expected at least the 7 built-ins: %v", len(names), names)
 	}
 	return names
 }
 
-// The tightened gate for the paper's two algorithms, now native
-// steppers: per-trial outcomes and aggregate JSON must be
-// byte-identical across worker counts 1/4/16 and across the
-// native-vs-ForceProgramPath axis — every combination against one
-// reference. CI runs this under -race, which exercises the native
-// machines and the worker-owned TrialContext reuse against the race
-// detector.
+// The tightened gate for the paper's two algorithms, native steppers:
+// per-trial outcomes and aggregate JSON must be byte-identical across
+// worker counts 1/4/16 and against the program twin — every
+// combination against one reference. CI runs this under -race, which
+// exercises the native machines and the worker-owned lane reuse
+// against the race detector.
 func TestPaperSteppersIdenticalAcrossWorkersAndPaths(t *testing.T) {
 	g, sa, sb := testGraph(t)
+	twins := programTwins()
 	for _, name := range []string{"whiteboard", "noboard"} {
 		base := Batch{
 			Graph: g, StartA: sa, StartB: sb,
@@ -111,40 +146,32 @@ func TestPaperSteppersIdenticalAcrossWorkersAndPaths(t *testing.T) {
 		}
 		var refOut []Outcome
 		var refAgg []byte
-		for _, force := range []bool{false, true} {
+		for _, strategy := range []string{name, twins[name]} {
 			for _, workers := range []int{1, 4, 16} {
 				b := base
 				b.Workers = workers
-				b.ForceProgramPath = force
-				out, err := RunOutcomes(t.Context(), b)
-				if err != nil {
-					t.Fatalf("%s force=%v workers=%d: %v", name, force, workers, err)
-				}
-				agg, err := json.Marshal(AggregateOutcomes(b, out))
-				if err != nil {
-					t.Fatal(err)
-				}
+				out, agg := runAs(t, b, strategy)
 				if refOut == nil {
 					refOut, refAgg = out, agg
 					continue
 				}
 				for i := range out {
 					if out[i] != refOut[i] {
-						t.Errorf("%s force=%v workers=%d trial %d: %+v vs reference %+v",
-							name, force, workers, i, out[i], refOut[i])
+						t.Errorf("%s workers=%d trial %d: %+v vs reference %+v",
+							strategy, workers, i, out[i], refOut[i])
 					}
 				}
 				if string(agg) != string(refAgg) {
-					t.Errorf("%s force=%v workers=%d: aggregate JSON differs:\n%s\nreference: %s",
-						name, force, workers, agg, refAgg)
+					t.Errorf("%s workers=%d: aggregate JSON differs:\n%s\nreference: %s",
+						strategy, workers, agg, refAgg)
 				}
 			}
 		}
 	}
 }
 
-// The stepper fast path must also be deterministic across worker
-// counts, exactly like the Program path.
+// Batches of native and coroutine-hosted steppers alike must be
+// deterministic across worker counts.
 func TestStepperPathDeterministicAcrossWorkers(t *testing.T) {
 	g, sa, sb := testGraph(t)
 	for _, name := range []string{"sweep", "birthday", "whiteboard"} {
@@ -173,54 +200,52 @@ func TestStepperPathDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The lockstep-lane gate (satellite of the lockstep PR): for both
-// paper algorithms, per-trial outcomes and aggregate JSON must be
-// byte-identical across workers 1/4/16 × lane widths 1/8/64, with
-// the legacy one-at-a-time stepper path (LaneWidth -1, 1 worker) as
-// the reference. CI runs this under -race, exercising the lane's
-// slot state and the chunked claim queue against the race detector.
-func TestLaneWidthAndWorkersDeterministic(t *testing.T) {
+// programOnly names a strategy registered with a Program builder
+// alone — the walkpair baseline's Build, and nothing else. It is
+// registered at package initialization, so the differential suite
+// covers it too.
+var programOnly = func() string {
+	walk, err := algo.Lookup("walkpair")
+	if err != nil {
+		panic(err)
+	}
+	algo.Register(algo.Spec{Name: "programs-only", Order: 900, Caps: walk.Caps, Build: walk.Build})
+	return "programs-only"
+}()
+
+// A strategy registered with only a Program builder runs like any
+// other: Register lifts its Build onto coroutine steppers, so a
+// faulted batch injects its faults, and batches at workers 1/4/16
+// aggregate byte-identically, faulted or not.
+func TestProgramOnlySpecRunsOnLanes(t *testing.T) {
 	g, sa, sb := testGraph(t)
-	for _, name := range []string{"whiteboard", "noboard"} {
-		base := Batch{
-			Graph: g, StartA: sa, StartB: sb,
-			Algorithm: name, Delta: g.MinDegree(),
-			Trials: 24, Seed: 424, MaxRounds: 1 << 22,
-		}
-		ref := base
-		ref.Workers = 1
-		ref.LaneWidth = -1 // legacy per-trial stepper path
-		refOut, err := RunOutcomes(t.Context(), ref)
-		if err != nil {
-			t.Fatalf("%s reference: %v", name, err)
-		}
-		refAgg, err := json.Marshal(AggregateOutcomes(ref, refOut))
-		if err != nil {
-			t.Fatal(err)
-		}
+	base := Batch{
+		Graph: g, StartA: sa, StartB: sb,
+		Algorithm: programOnly,
+		Trials:    120, Seed: 9, MaxRounds: 1 << 12,
+	}
+	for _, faults := range []*FaultPlan{nil, {Seed: 3, PPanic: 0.05, PStall: 0.05, PBuildErr: 0.05}} {
+		var ref []byte
 		for _, workers := range []int{1, 4, 16} {
-			for _, width := range []int{1, 8, 64} {
-				b := base
-				b.Workers = workers
-				b.LaneWidth = width
-				out, err := RunOutcomes(t.Context(), b)
-				if err != nil {
-					t.Fatalf("%s workers=%d width=%d: %v", name, workers, width, err)
-				}
-				for i := range out {
-					if out[i] != refOut[i] {
-						t.Errorf("%s workers=%d width=%d trial %d: %+v vs reference %+v",
-							name, workers, width, i, out[i], refOut[i])
-					}
-				}
-				agg, err := json.Marshal(AggregateOutcomes(b, out))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(agg) != string(refAgg) {
-					t.Errorf("%s workers=%d width=%d: aggregate JSON differs:\n%s\nreference: %s",
-						name, workers, width, agg, refAgg)
-				}
+			b := base
+			b.Workers, b.Faults = workers, faults
+			agg, err := Run(t.Context(), b)
+			if err != nil {
+				t.Fatalf("faults=%v workers=%d: %v", faults != nil, workers, err)
+			}
+			if faults != nil && (agg.Errors == 0 || len(agg.FirstErrors) == 0) {
+				t.Fatalf("workers=%d: fault plan injected nothing: %+v", workers, agg)
+			}
+			blob, err := json.Marshal(agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = blob
+				continue
+			}
+			if string(blob) != string(ref) {
+				t.Errorf("faults=%v workers=%d: aggregate differs:\n%s\nreference: %s", faults != nil, workers, blob, ref)
 			}
 		}
 	}

@@ -2,10 +2,10 @@
 // independent rendezvous trials across a worker pool and streams the
 // per-trial results into compact aggregates (success rate, round and
 // move distributions). Each trial's PCG seed is derived from the
-// batch seed and the trial index alone, and aggregation runs over the
-// trial-indexed outcome slice in index order, so a batch's Aggregate
-// is bit-identical whether it ran on 1 worker or on GOMAXPROCS — the
-// worker count changes wall-clock time only.
+// batch seed and the trial index alone, and aggregation reduces the
+// outcomes to exact value → count multisets (see Reducer), so a
+// batch's Aggregate is bit-identical whether it ran on 1 worker or on
+// GOMAXPROCS — the worker count changes wall-clock time only.
 //
 // The engine resolves strategies by name through the algo registry;
 // anything registered there (the paper's algorithms, the baselines,
@@ -26,7 +26,6 @@ import (
 	"fnr/internal/core"
 	"fnr/internal/graph"
 	"fnr/internal/sim"
-	"fnr/internal/stats"
 )
 
 // Batch describes one batch of independent trials: the same instance
@@ -45,9 +44,9 @@ type Batch struct {
 	// the legacy setting — k=2, zero delays, all-gather — is folded
 	// into StartA/StartB before anything observes it, so its
 	// aggregate and checkpoint identity are byte-identical to the
-	// equivalent legacy batch. k>2 requires the stepper path and a
-	// strategy with a team builder (the oblivious baselines; the
-	// paper's pairwise algorithms reject k>2 loudly).
+	// equivalent legacy batch. k>2 requires a strategy with a team
+	// builder (the oblivious baselines; the paper's pairwise
+	// algorithms reject k>2 loudly).
 	Scenario *sim.Scenario
 	// Algorithm names a registered strategy (see algo.Names).
 	Algorithm string
@@ -65,22 +64,6 @@ type Batch struct {
 	// Workers bounds trial parallelism (≤ 0 = GOMAXPROCS). It never
 	// affects results, only wall-clock time.
 	Workers int
-	// ForceProgramPath runs the goroutine-backed Program path even
-	// when the strategy provides steppers — a benchmarking and
-	// diagnostics knob (benchengine times both paths with it; the
-	// differential suite uses it to prove the paths byte-identical).
-	// The zero value selects the goroutine-free stepper fast path
-	// automatically whenever the spec has a stepper builder. Like
-	// Workers, it must never affect results, only wall-clock time.
-	ForceProgramPath bool
-	// LaneWidth selects the lockstep lane width of the stepper fast
-	// path: 0 = automatic (one resident trial per worker), ≥ 1 =
-	// exactly that many resident trials per worker, < 0 = the legacy
-	// one-trial-at-a-time stepper path (a diagnostics knob like
-	// ForceProgramPath; the differential suite uses it to prove lane
-	// widths byte-identical). It never affects results, only
-	// wall-clock time and memory.
-	LaneWidth int
 	// ShardIndex and ShardCount split the batch's trial range across
 	// independent processes: shard i of k runs only the global trial
 	// indices [Trials·i/k, Trials·(i+1)/k). Per-trial seeds are still
@@ -93,19 +76,15 @@ type Batch struct {
 	// Faults, if non-nil, injects deterministic per-trial faults
 	// (panics, stalls, builder errors) derived from the plan's seed
 	// and the global trial index alone — the differential-test knob
-	// for the engine's fault-tolerance layer. Fault injection wraps
-	// steppers, so it requires the stepper fast path (prepare rejects
-	// a faulted batch whose strategy lacks steppers, or that forces
-	// the Program path). Like Workers and LaneWidth, the worker
-	// count, lane width and shard split must never change a faulted
-	// batch's aggregate.
+	// for the engine's fault-tolerance layer. The worker count and
+	// shard split must never change a faulted batch's aggregate.
 	Faults *FaultPlan
 }
 
 // normalized folds a legacy-equivalent scenario (k=2, zero delays,
 // all-gather) into the StartA/StartB pair fields: every public entry
 // point applies it first, so such a batch is indistinguishable —
-// aggregate bytes, checkpoint identity, execution path — from the
+// aggregate bytes, checkpoint identity, trials run — from the
 // same batch described the legacy way. Idempotent.
 func (b Batch) normalized() Batch {
 	if sc := b.Scenario; sc != nil {
@@ -145,23 +124,6 @@ func (b Batch) shardSpan() (lo, hi int) {
 // sharded reports whether the batch covers only a shard of its trials.
 func (b Batch) sharded() bool { return b.ShardCount > 1 }
 
-// laneWidth resolves the batch's lockstep lane width (0 when the
-// legacy per-trial stepper path was requested). The automatic width
-// is one resident trial per worker: the paper algorithms' walker
-// scratch is large and hot, so several resident trials evict each
-// other from L1d and L2 — width 8 measured 15–35% slower than width 1
-// at every n from 256 to 8192 — while short baseline trials run at
-// the same speed either way.
-func (b Batch) laneWidth() int {
-	switch {
-	case b.LaneWidth == 0:
-		return 1
-	case b.LaneWidth < 0:
-		return 0
-	}
-	return b.LaneWidth
-}
-
 // Outcome is one trial reduced to what aggregation needs.
 type Outcome struct {
 	// Met reports whether the agents rendezvoused within the budget.
@@ -192,25 +154,6 @@ type Dist struct {
 	P95    float64 `json:"p95"`
 	Min    float64 `json:"min"`
 	Max    float64 `json:"max"`
-}
-
-// DistOf summarizes xs (in the given order — callers pass trial-index
-// order so the floating-point accumulation is reproducible).
-func DistOf(xs []float64) Dist {
-	if len(xs) == 0 {
-		return Dist{}
-	}
-	var s stats.Summary
-	for _, x := range xs {
-		s.Add(x)
-	}
-	return Dist{
-		Mean:   s.Mean(),
-		Median: stats.Median(xs),
-		P95:    stats.Quantile(xs, 0.95),
-		Min:    s.Min(),
-		Max:    s.Max(),
-	}
 }
 
 // Aggregate is a batch's streamed summary. It deliberately excludes
@@ -247,7 +190,7 @@ type Aggregate struct {
 	// msg", ordered by that index — so a sea of failures surfaces its
 	// cause without storing per-trial detail. Keying by lowest trial
 	// index (never arrival order) keeps the list byte-identical
-	// regardless of worker count, lane width or shard split, and
+	// regardless of worker count or shard split, and
 	// exact under reducer merges. Omitted when no trial erred.
 	FirstErrors []string `json:"first_errors,omitempty"`
 	// TrialSpans lists the global trial-index ranges the aggregate
@@ -346,9 +289,8 @@ func Trials[T any](workers, n int, f func(trial int) T) []T {
 
 // TrialsScratch is Trials with per-worker scratch: every worker
 // goroutine calls newScratch once and passes the value to each of its
-// f invocations, so reusable trial state (sim.TrialContext on the
-// stepper fast path) is allocated per worker, not per trial, without
-// any locking. f must be safe for concurrent calls with distinct
+// f invocations, so reusable trial state is allocated per worker, not
+// per trial, without any locking. f must be safe for concurrent calls with distinct
 // (scratch, trial) pairs; scratch values must never affect results.
 func TrialsScratch[S, T any](workers, n int, newScratch func() S, f func(scratch S, trial int) T) []T {
 	if n <= 0 {
@@ -433,11 +375,6 @@ func chunkedWorkers[S any](ctx context.Context, workers, n int, newScratch func(
 // RunOutcomes executes the batch and returns the per-trial outcomes
 // in trial order — the lower-level entry point for callers (the
 // experiment harness) that need more than the standard aggregate.
-// When the strategy provides steppers (and ForceProgramPath is off)
-// the trials run on the goroutine-free stepper path, each worker
-// reusing one sim.TrialContext across all its trials; otherwise they
-// run on the classic goroutine-backed Program path. The two paths
-// produce byte-identical outcomes.
 //
 // Cancelling ctx stops the run at the next chunk boundary and
 // returns (nil, ctx.Err()): an outcome slice cannot say which trials
@@ -451,28 +388,10 @@ func RunOutcomes(ctx context.Context, b Batch) ([]Outcome, error) {
 	}
 	lo, hi := b.shardSpan()
 	out := make([]Outcome, hi-lo)
-	switch {
-	case !b.useSteppers(spec):
-		chunkedWorkers(ctx, b.Workers, hi-lo,
-			func() struct{} { return struct{}{} },
-			func(_ struct{}, from, to int) {
-				for i := from; i < to; i++ {
-					out[i] = runTrial(b, spec, opts, lo+i)
-				}
-			})
-	case b.laneWidth() > 0:
-		runLanes(ctx, b, spec, opts, b.laneWidth(), lo, hi,
-			func() struct{} { return struct{}{} },
-			func(_ struct{}, trial int, o Outcome) { out[trial-lo] = o },
-			nil)
-	default: // legacy one-trial-at-a-time stepper path
-		chunkedWorkers(ctx, b.Workers, hi-lo, newStepperWorker,
-			func(w *stepperWorker, from, to int) {
-				for i := from; i < to; i++ {
-					out[i] = w.run(b, spec, opts, lo+i)
-				}
-			})
-	}
+	runLanes(ctx, b, spec, opts, lo, hi,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, trial int, o Outcome) { out[trial-lo] = o },
+		nil)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -485,23 +404,31 @@ type laneWorker[S any] struct {
 	sink S
 }
 
-// runLanes executes trials [lo, hi) of the batch on the lockstep
-// lane path: a pool of workers, each owning one sim.TrialLane of the
-// given width and one sink, claiming trial-index chunks and
-// streaming each finished trial's Outcome into the worker's sink via
-// emit. Emitted trial indices are global (shard-offset), matching
-// the seeds. After each chunk, cover (if non-nil) receives the
-// chunk's completed global range — [from, from) when a cancel struck
-// before any arm, the full chunk otherwise; the reducer path records
-// its TrialSpans coverage there. It returns every worker's sink
-// (trial-indexed sinks write into shared trial-indexed storage;
-// reducer sinks get merged by the caller). Lane width, worker count
-// and chunk assignment never affect which Outcome a trial produces.
+// runLanes executes trials [lo, hi) of the batch — the engine's one
+// execution path: a pool of workers, each owning one sink and one
+// width-1 sim.TrialLane that keeps its stepper team and TrialContext
+// scratch warm across every trial the worker runs. Workers claim
+// trial-index chunks and stream each finished trial's Outcome into
+// their sink via emit. Emitted trial indices are global
+// (shard-offset), matching the seeds. After each chunk, cover (if
+// non-nil) receives the chunk's completed global range — [from, from)
+// when a cancel struck before any arm, the full chunk otherwise; the
+// reducer path records its TrialSpans coverage there. It returns
+// every worker's sink (trial-indexed sinks write into shared
+// trial-indexed storage; reducer sinks get merged by the caller).
+// Worker count and chunk assignment never affect which Outcome a
+// trial produces.
+//
+// One resident trial per worker, because the paper algorithms' walker
+// scratch is large and hot: several resident trials evict each other
+// from L1d and L2 (width 8 measured 15–35% slower than width 1 at
+// every n from 256 to 8192), while baseline trials run at the same
+// speed either way.
 //
 // Cancelling ctx stops each lane at its next refill boundary (via
 // lane.Stop): resident trials drain, nothing new is armed, and the
 // pool exits at the chunk-claim boundary.
-func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.BuildOpts, width, lo, hi int, newSink func() S, emit func(sink S, trial int, o Outcome), cover func(sink S, from, to int)) []S {
+func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.BuildOpts, lo, hi int, newSink func() S, emit func(sink S, trial int, o Outcome), cover func(sink S, from, to int)) []S {
 	cfg := trialConfig(b, spec, 0) // per-trial seeds come from seedOf
 	seedOf := func(t int) uint64 { return TrialSeed(b.Seed, t) }
 	build := func() ([]sim.Stepper, error) {
@@ -512,7 +439,7 @@ func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.Bui
 	}
 	workers := chunkedWorkers(ctx, b.Workers, hi-lo, func() *laneWorker[S] {
 		w := &laneWorker[S]{
-			lane: sim.NewTeamLane(width, build),
+			lane: sim.NewTeamLane(1, build),
 			sink: newSink(),
 		}
 		if b.Faults != nil {
@@ -538,59 +465,22 @@ func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.Bui
 	return sinks
 }
 
-// useSteppers reports whether the batch takes the stepper fast path.
-func (b Batch) useSteppers(spec algo.Spec) bool {
-	return spec.BuildSteppers != nil && !b.ForceProgramPath
-}
-
-// Run executes the batch and streams the outcomes into an Aggregate.
-// Cancelling ctx returns (nil, ctx.Err()); see RunOutcomes.
+// Run executes the batch and reduces its outcomes into an Aggregate:
+// RunReduced followed by Reducer.Aggregate. Engine-owned memory is
+// bounded by the number of distinct observed values, not the trial
+// count, which is what makes 10M-trial batches practical. Cancelling
+// ctx returns (nil, ctx.Err()); callers that want the partial state
+// use RunReduced.
 func Run(ctx context.Context, b Batch) (*Aggregate, error) {
-	outcomes, err := RunOutcomes(ctx, b)
+	r, err := RunReduced(ctx, b)
 	if err != nil {
 		return nil, err
 	}
-	return AggregateOutcomes(b, outcomes), nil
-}
-
-// AggregateOutcomes reduces trial-ordered outcomes to the batch
-// summary. For a sharded batch the summary covers the shard's trials
-// only and says so in TrialSpans.
-func AggregateOutcomes(b Batch, outcomes []Outcome) *Aggregate {
-	b = b.normalized()
-	agg := &Aggregate{Algorithm: b.Algorithm, Trials: len(outcomes), Seed: b.Seed, Scenario: b.scenarioInfo()}
-	if b.sharded() {
-		lo, hi := b.shardSpan()
-		agg.TrialSpans = []TrialSpan{{Lo: lo, Hi: hi}}
-	}
-	lo, _ := b.shardSpan()
-	var el errLog
-	metRounds := make([]float64, 0, len(outcomes))
-	moves := make([]float64, 0, len(outcomes))
-	for i, o := range outcomes {
-		if o.Met {
-			agg.Met++
-			metRounds = append(metRounds, float64(o.Rounds))
-		}
-		if o.Err {
-			agg.Errors++
-			el.note(lo+i, o.Msg)
-			continue
-		}
-		moves = append(moves, float64(o.Moves))
-	}
-	agg.FirstErrors = el.list()
-	agg.Failures = agg.Trials - agg.Met
-	if agg.Trials > 0 {
-		agg.SuccessRate = float64(agg.Met) / float64(agg.Trials)
-	}
-	agg.Rounds = DistOf(metRounds)
-	agg.Moves = DistOf(moves)
-	return agg
+	return r.Aggregate(b), nil
 }
 
 // prepare validates the batch and resolves its strategy, including a
-// pre-flight program build so capability mismatches (for example
+// pre-flight team build so capability mismatches (for example
 // "noboard" without Delta) fail before any worker starts.
 func (b Batch) prepare() (algo.Spec, algo.BuildOpts, error) {
 	var spec algo.Spec
@@ -630,16 +520,6 @@ func (b Batch) prepare() (algo.Spec, algo.BuildOpts, error) {
 	if err != nil {
 		return spec, opts, fmt.Errorf("engine: %w", err)
 	}
-	if k := b.teamSize(); k > 2 {
-		if !b.useSteppers(spec) {
-			// The Program path hosts exactly two direct-style agents;
-			// k-agent teams exist only in stepper form.
-			return spec, opts, fmt.Errorf("engine: %d-agent scenarios require the stepper path (strategy without steppers, or ForceProgramPath)", k)
-		}
-		if !spec.SupportsTeam() {
-			return spec, opts, fmt.Errorf("engine: algo %q does not support %d agents (two-agent strategy)", spec.Name, k)
-		}
-	}
 	params := b.Params
 	if params == (core.Params{}) {
 		params = core.PracticalParams()
@@ -649,25 +529,15 @@ func (b Batch) prepare() (algo.Spec, algo.BuildOpts, error) {
 		if err := b.Faults.validate(); err != nil {
 			return spec, opts, fmt.Errorf("engine: %w", err)
 		}
-		if !b.useSteppers(spec) {
-			// Fault wrappers interpose on steppers; the Program path
-			// has nothing to wrap, so a faulted batch routed there
-			// would silently run fault-free instead.
-			return spec, opts, errors.New("engine: fault injection requires the stepper path (strategy without steppers, or ForceProgramPath)")
-		}
 	}
-	// Pre-flight the builder the batch will actually use, so
-	// capability mismatches (for example "noboard" without Delta)
-	// fail before any worker starts. The probe team never runs, so
-	// honor the stepper lifecycle by finishing it explicitly.
-	if b.useSteppers(spec) {
-		var team []sim.Stepper
-		team, err = spec.Team(opts, b.teamSize())
-		for i := len(team) - 1; i >= 0; i-- {
-			sim.Finish(team[i])
-		}
-	} else {
-		_, _, err = spec.Programs(opts)
+	// Pre-flight the team builder, so capability mismatches (for
+	// example "noboard" without Delta, or a two-agent strategy in a
+	// k > 2 scenario) fail before any worker starts.
+	// The probe team never runs, so honor the stepper lifecycle by
+	// finishing it explicitly.
+	team, err := spec.Team(opts, b.teamSize())
+	for i := len(team) - 1; i >= 0; i-- {
+		sim.Finish(team[i])
 	}
 	if err != nil {
 		return spec, opts, fmt.Errorf("engine: %w", err)
@@ -675,7 +545,7 @@ func (b Batch) prepare() (algo.Spec, algo.BuildOpts, error) {
 	return spec, opts, nil
 }
 
-// trialConfig is the simulation configuration shared by both paths.
+// trialConfig is the simulation configuration of the batch's trial.
 func trialConfig(b Batch, spec algo.Spec, trial int) sim.Config {
 	return sim.Config{
 		Graph:       b.Graph,
@@ -687,80 +557,6 @@ func trialConfig(b Batch, spec algo.Spec, trial int) sim.Config {
 		Seed:        TrialSeed(b.Seed, trial),
 		MaxRounds:   b.MaxRounds,
 	}
-}
-
-// runTrial executes one trial of the batch on the goroutine-backed
-// Program path. A panic on the calling goroutine (a panicking
-// builder, or the simulator's own machinery) is isolated as the
-// trial's error outcome; the Program path keeps no cross-trial
-// scratch, so there is nothing to quarantine.
-func runTrial(b Batch, spec algo.Spec, opts algo.BuildOpts, trial int) (o Outcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			o = errOutcome(sim.PanicError(r))
-		}
-	}()
-	progA, progB, err := spec.Programs(opts)
-	if err != nil {
-		return errOutcome(err)
-	}
-	res, err := sim.Run(trialConfig(b, spec, trial), progA, progB)
-	return OutcomeOf(res, err)
-}
-
-// stepperWorker is the per-worker scratch of the legacy
-// one-trial-at-a-time stepper path: one sim.TrialContext reused
-// across the worker's trials, plus the panic quarantine that reuse
-// obliges. It exists so runStepperTrial itself can stay panic-free
-// and directly testable.
-type stepperWorker struct {
-	tc *sim.TrialContext
-}
-
-func newStepperWorker() *stepperWorker { return &stepperWorker{tc: sim.NewTrialContext()} }
-
-// run executes one trial, isolating a panic as the trial's error
-// outcome. A panicking trial may have left the worker's TrialContext
-// scratch (whiteboard array, RNG streams, walker tables) in any
-// state, so the context is quarantined — replaced wholesale, exactly
-// like a poisoned lane slot — and never re-armed.
-func (w *stepperWorker) run(b Batch, spec algo.Spec, opts algo.BuildOpts, trial int) (o Outcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.tc = sim.NewTrialContext()
-			o = errOutcome(sim.PanicError(r))
-		}
-	}()
-	return runStepperTrial(b, spec, opts, w.tc, trial)
-}
-
-// runStepperTrial executes one trial on the stepper fast path,
-// reusing the worker-owned trial context's scratch (whiteboards,
-// neighbor-ID buffers, PCG state). A mid-batch builder error must not
-// leak execution resources a partially built pair may own, nor leave
-// the worker's context in a state that influences later trials: any
-// returned steppers are finished, the context is untouched (its
-// scratch is re-armed by the next successful run), and the trial
-// counts as an error outcome.
-func runStepperTrial(b Batch, spec algo.Spec, opts algo.BuildOpts, tc *sim.TrialContext, trial int) Outcome {
-	if f := b.Faults; f != nil {
-		if err := f.armError(trial); err != nil {
-			return errOutcome(err)
-		}
-	}
-	team, err := spec.Team(opts, b.teamSize())
-	if err != nil {
-		// Team finishes anything it built before failing.
-		return errOutcome(err)
-	}
-	if f := b.Faults; f != nil {
-		for i, st := range team {
-			team[i] = wrapFault(st)
-		}
-		f.armSteppers(trial, team)
-	}
-	res, err := tc.RunTeam(trialConfig(b, spec, trial), team)
-	return OutcomeOf(res, err)
 }
 
 // OutcomeOf reduces one simulation result (or its error) to an

@@ -10,6 +10,7 @@ import (
 
 	"fnr/internal/algo"
 	"fnr/internal/graph"
+	"fnr/internal/sim"
 
 	_ "fnr/internal/algo/paper"
 	_ "fnr/internal/baseline"
@@ -24,6 +25,28 @@ func testGraph(t *testing.T) (*graph.Graph, graph.Vertex, graph.Vertex) {
 	}
 	sa := graph.Vertex(0)
 	return g, sa, g.Adj(sa)[0]
+}
+
+// soloTrial runs one trial of the batch alone on tc with a freshly
+// built team — the per-trial reference a lane must reproduce.
+func soloTrial(b Batch, spec algo.Spec, opts algo.BuildOpts, tc *sim.TrialContext, trial int) Outcome {
+	team, err := spec.Team(opts, b.teamSize())
+	if err != nil {
+		return errOutcome(err)
+	}
+	return OutcomeOf(tc.RunTeam(trialConfig(b, spec, trial), team))
+}
+
+// aggregateOf reduces a batch's trial-ordered outcomes, as RunOutcomes
+// returns them, to the batch's Aggregate.
+func aggregateOf(b Batch, out []Outcome) *Aggregate {
+	lo, _ := b.shardSpan()
+	r := NewReducer()
+	for i, o := range out {
+		r.Add(lo+i, o)
+	}
+	r.AddSpan(lo, lo+len(out))
+	return r.Aggregate(b)
 }
 
 // The tentpole guarantee: the same batch seed produces byte-identical
@@ -205,16 +228,6 @@ func TestTrialsOrdering(t *testing.T) {
 	}
 	if Trials(4, 0, func(int) int { return 0 }) != nil {
 		t.Fatal("empty Trials should return nil")
-	}
-}
-
-func TestDistOf(t *testing.T) {
-	if d := DistOf(nil); d != (Dist{}) {
-		t.Fatalf("empty dist = %+v", d)
-	}
-	d := DistOf([]float64{1, 2, 3, 4})
-	if d.Mean != 2.5 || d.Median != 2.5 || d.Min != 1 || d.Max != 4 {
-		t.Fatalf("dist = %+v", d)
 	}
 }
 

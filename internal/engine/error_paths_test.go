@@ -78,7 +78,7 @@ func TestBuilderErrorMidBatchLeavesWorkerContextClean(t *testing.T) {
 		clean := sim.NewTrialContext()
 		var cleanOut []Outcome
 		for i := 0; i < base.Trials; i++ {
-			cleanOut = append(cleanOut, runStepperTrial(base, spec, opts, clean, i))
+			cleanOut = append(cleanOut, soloTrial(base, spec, opts, clean, i))
 		}
 
 		// Disturbed: the same six trials on one shared context, with a
@@ -98,18 +98,18 @@ func TestBuilderErrorMidBatchLeavesWorkerContextClean(t *testing.T) {
 		}
 		dirty := sim.NewTrialContext()
 		var dirtyOut []Outcome
-		dirtyOut = append(dirtyOut, runStepperTrial(base, spec, opts, dirty, 0))
-		if out := runStepperTrial(base, brokenSpec, opts, dirty, 99); !out.Err {
+		dirtyOut = append(dirtyOut, soloTrial(base, spec, opts, dirty, 0))
+		if out := soloTrial(base, brokenSpec, opts, dirty, 99); !out.Err {
 			t.Fatalf("%s: builder failure did not produce an error outcome: %+v", name, out)
 		}
 		if finished != 1 {
 			t.Errorf("%s: partially built stepper's Finish ran %d times, want 1", name, finished)
 		}
-		if out := runStepperTrial(base, vandalSpec, opts, dirty, 99); !out.Err {
+		if out := soloTrial(base, vandalSpec, opts, dirty, 99); !out.Err {
 			t.Fatalf("%s: vandal trial did not produce an error outcome: %+v", name, out)
 		}
 		for i := 1; i < base.Trials; i++ {
-			dirtyOut = append(dirtyOut, runStepperTrial(base, spec, opts, dirty, i))
+			dirtyOut = append(dirtyOut, soloTrial(base, spec, opts, dirty, i))
 		}
 
 		for i := range cleanOut {
@@ -118,11 +118,11 @@ func TestBuilderErrorMidBatchLeavesWorkerContextClean(t *testing.T) {
 					name, i, cleanOut[i], dirtyOut[i])
 			}
 		}
-		cleanAgg, err := json.Marshal(AggregateOutcomes(base, cleanOut))
+		cleanAgg, err := json.Marshal(aggregateOf(base, cleanOut))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dirtyAgg, err := json.Marshal(AggregateOutcomes(base, dirtyOut))
+		dirtyAgg, err := json.Marshal(aggregateOf(base, dirtyOut))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,11 +134,13 @@ func TestBuilderErrorMidBatchLeavesWorkerContextClean(t *testing.T) {
 }
 
 // TestPanicMidBatchQuarantinesWorkerContext extends the mid-batch
-// hygiene gate to panics: a trial that scribbles on its TrialContext
-// and then panics out of Next must surface as an error outcome
-// carrying the panic message, the worker's poisoned context must be
-// quarantined (rebuilt, never re-armed), and every subsequent trial
-// must reproduce the clean batch byte for byte.
+// hygiene gate to panics on the engine's width-1 lane: a trial that
+// scribbles on its TrialContext and then panics out of Next must
+// surface as an error outcome carrying the panic message, and every
+// later trial on the same lane must reproduce the clean batch byte
+// for byte. (That the lane quarantines the panicking slot — stepper
+// team finished and rebuilt, TrialContext replaced — is pinned by
+// internal/sim's TestLanePanicQuarantinesSlot.)
 func TestPanicMidBatchQuarantinesWorkerContext(t *testing.T) {
 	g, sa, sb := testGraph(t)
 	for _, name := range []string{"whiteboard", "noboard"} {
@@ -151,36 +153,40 @@ func TestPanicMidBatchQuarantinesWorkerContext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		clean := newStepperWorker()
-		var cleanOut []Outcome
-		for i := 0; i < base.Trials; i++ {
-			cleanOut = append(cleanOut, clean.run(base, spec, opts, i))
+		cfg := trialConfig(base, spec, 0)
+		seedOf := func(i int) uint64 { return TrialSeed(base.Seed, i) }
+		paper := func() (sim.Stepper, sim.Stepper, error) { return spec.Steppers(opts) }
+		runOn := func(lane *sim.TrialLane, from, to int) []Outcome {
+			out := make([]Outcome, to-from)
+			lane.Run(cfg, seedOf, from, to, func(i int, res *sim.Result, err error) { out[i-from] = OutcomeOf(res, err) })
+			return out
 		}
 
-		panicSpec := algo.Spec{
-			Name: "panicker", Caps: algo.Caps{NeighborIDs: true, Whiteboards: true}, Build: spec.Build,
-			BuildSteppers: func(algo.BuildOpts) (sim.Stepper, sim.Stepper, error) {
-				return &panickingStepper{rounds: 3}, &panickingStepper{rounds: 5}, nil
-			},
+		clean := sim.NewTrialLane(1, paper)
+		cleanOut := runOn(clean, 0, base.Trials)
+		clean.Close()
+
+		// The dirty lane's builder is swapped between runs; Close
+		// drops the built team (so the next Run rebuilds from the
+		// current builder) but keeps the slot's TrialContext.
+		build := paper
+		dirty := sim.NewTrialLane(1, func() (sim.Stepper, sim.Stepper, error) { return build() })
+		defer dirty.Close()
+		dirtyOut := runOn(dirty, 0, 1)
+		dirty.Close()
+		build = func() (sim.Stepper, sim.Stepper, error) {
+			return &panickingStepper{rounds: 3}, &panickingStepper{rounds: 5}, nil
 		}
-		dirty := newStepperWorker()
-		var dirtyOut []Outcome
-		dirtyOut = append(dirtyOut, dirty.run(base, spec, opts, 0))
-		before := dirty.tc
-		out := dirty.run(base, panicSpec, opts, 99)
+		out := runOn(dirty, 99, 100)[0]
 		if !out.Err {
 			t.Fatalf("%s: panicking trial did not produce an error outcome: %+v", name, out)
 		}
 		if want := "sim: trial panicked: deliberate mid-batch panic"; out.Msg != want {
 			t.Errorf("%s: panic outcome message %q, want %q", name, out.Msg, want)
 		}
-		if dirty.tc == before {
-			t.Errorf("%s: worker kept its TrialContext across a panic — poisoned state can leak", name)
-		}
-		for i := 1; i < base.Trials; i++ {
-			dirtyOut = append(dirtyOut, dirty.run(base, spec, opts, i))
-		}
+		dirty.Close()
+		build = paper
+		dirtyOut = append(dirtyOut, runOn(dirty, 1, base.Trials)...)
 
 		for i := range cleanOut {
 			if cleanOut[i] != dirtyOut[i] {
@@ -188,8 +194,8 @@ func TestPanicMidBatchQuarantinesWorkerContext(t *testing.T) {
 					name, i, cleanOut[i], dirtyOut[i])
 			}
 		}
-		cleanAgg, _ := json.Marshal(AggregateOutcomes(base, cleanOut))
-		dirtyAgg, _ := json.Marshal(AggregateOutcomes(base, dirtyOut))
+		cleanAgg, _ := json.Marshal(aggregateOf(base, cleanOut))
+		dirtyAgg, _ := json.Marshal(aggregateOf(base, dirtyOut))
 		if string(cleanAgg) != string(dirtyAgg) {
 			t.Errorf("%s: aggregate JSON diverged after a panic-then-retry batch:\nclean: %s\ndirty: %s",
 				name, cleanAgg, dirtyAgg)

@@ -13,12 +13,12 @@ import (
 // differential-testable. A FaultPlan assigns each global trial index
 // a fault kind (or none) as a pure function of (plan seed, trial
 // index), so the same plan produces the same faulted trials at any
-// worker count, lane width, shard split or execution path, and the
-// engine's core invariant (byte-identical aggregates regardless of
-// parallelism) extends to batches that panic, stall and fail to
-// build. Faults interpose on steppers: a builder error is vetoed
-// before the pair is built (per-trial path) or armed (lane PreArm
-// hook), and panic/stall faults fire from a wrapper stepper's Next.
+// worker count or shard split, and the engine's core invariant
+// (byte-identical aggregates regardless of parallelism) extends to
+// batches that panic, stall and fail to build. Faults interpose on
+// the lane: a builder error is vetoed before the team is armed (the
+// lane's PreArm hook), and panic/stall faults fire from a wrapper
+// stepper's Next.
 
 // FaultKind is one injected failure mode.
 type FaultKind uint8
@@ -133,29 +133,6 @@ func (f *FaultPlan) KindFor(trial int) FaultKind {
 	return FaultNone
 }
 
-// armError returns the injected builder error for the trial, or nil.
-// Both execution paths surface it the same way — before any stepper
-// is built or armed — so the message is path-independent.
-func (f *FaultPlan) armError(trial int) error {
-	if f.KindFor(trial) == FaultBuildErr {
-		return fmt.Errorf("fault injection: builder error at trial %d", trial)
-	}
-	return nil
-}
-
-// armSteppers points every wrapper stepper of the team at the trial
-// about to run on them, setting (or clearing) their pending fault.
-// Called once per trial: directly on the per-trial path, via the
-// lane's PostArm hook on the lockstep path.
-func (f *FaultPlan) armSteppers(trial int, team []sim.Stepper) {
-	kind := f.KindFor(trial)
-	for _, st := range team {
-		if c, ok := st.(faultCarrier); ok {
-			c.setFault(kind, trial)
-		}
-	}
-}
-
 // wrapBuilder interposes fault wrappers on a stepper-team builder.
 func (f *FaultPlan) wrapBuilder(build func() ([]sim.Stepper, error)) func() ([]sim.Stepper, error) {
 	return func() ([]sim.Stepper, error) {
@@ -180,12 +157,26 @@ func (f *FaultPlan) wrapBuilder(build func() ([]sim.Stepper, error)) func() ([]s
 // faultHook adapts a FaultPlan to the lane's arm-interception seam.
 type faultHook struct{ plan *FaultPlan }
 
-func (h faultHook) PreArm(trial int) error { return h.plan.armError(trial) }
-func (h faultHook) PostArm(trial int, team []sim.Stepper) {
-	h.plan.armSteppers(trial, team)
+// PreArm returns the injected builder error for the trial, or nil.
+func (h faultHook) PreArm(trial int) error {
+	if h.plan.KindFor(trial) == FaultBuildErr {
+		return fmt.Errorf("fault injection: builder error at trial %d", trial)
+	}
+	return nil
 }
 
-// faultCarrier is how armSteppers reaches a wrapper regardless of
+// PostArm points every wrapper stepper of the team at the trial about
+// to run on them, setting (or clearing) their pending fault.
+func (h faultHook) PostArm(trial int, team []sim.Stepper) {
+	kind := h.plan.KindFor(trial)
+	for _, st := range team {
+		if c, ok := st.(faultCarrier); ok {
+			c.setFault(kind, trial)
+		}
+	}
+}
+
+// faultCarrier is how PostArm reaches a wrapper regardless of
 // which concrete wrapper type the stepper got.
 type faultCarrier interface {
 	setFault(kind FaultKind, trial int)
@@ -211,7 +202,7 @@ func wrapFault(s sim.Stepper) sim.Stepper {
 const stallWait = int64(1) << 62
 
 // faultStepper interposes on one agent's stepper. The pending fault
-// is re-armed per trial (armSteppers), so a wrapper living across
+// is re-armed per trial (faultHook.PostArm), so a wrapper living across
 // many lane trials injects at exactly the planned indices and runs
 // the others clean.
 type faultStepper struct {

@@ -78,8 +78,7 @@ func TestFaultPlanKindFor(t *testing.T) {
 
 // The tentpole differential: the same fault plan produces the same
 // aggregate JSON — injected panics, stalls, builder errors, messages
-// and all — at every worker count, lane width, the legacy per-trial
-// path, and across a sharded merge.
+// and all — at every worker count and across a sharded merge.
 func TestFaultDifferentialAcrossPathsAndShards(t *testing.T) {
 	g, sa, sb := testGraph(t)
 	for _, name := range []string{"whiteboard", "sweep"} {
@@ -91,32 +90,29 @@ func TestFaultDifferentialAcrossPathsAndShards(t *testing.T) {
 		}
 		var ref []byte
 		for _, workers := range []int{1, 4, 16} {
-			for _, width := range []int{-1, 1, 8} {
-				b := base
-				b.Workers = workers
-				b.LaneWidth = width
-				agg, err := RunStreaming(t.Context(), b)
-				if err != nil {
-					t.Fatalf("%s workers=%d width=%d: %v", name, workers, width, err)
+			b := base
+			b.Workers = workers
+			agg, err := Run(t.Context(), b)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			blob, err := json.Marshal(agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = blob
+				if agg.Errors == 0 {
+					t.Fatalf("%s: fault plan injected nothing at these probabilities", name)
 				}
-				blob, err := json.Marshal(agg)
-				if err != nil {
-					t.Fatal(err)
+				if len(agg.FirstErrors) == 0 {
+					t.Fatalf("%s: errors occurred but FirstErrors is empty", name)
 				}
-				if ref == nil {
-					ref = blob
-					if agg.Errors == 0 {
-						t.Fatalf("%s: fault plan injected nothing at these probabilities", name)
-					}
-					if len(agg.FirstErrors) == 0 {
-						t.Fatalf("%s: errors occurred but FirstErrors is empty", name)
-					}
-					continue
-				}
-				if string(blob) != string(ref) {
-					t.Errorf("%s workers=%d width=%d: faulted aggregate differs:\n%s\nreference: %s",
-						name, workers, width, blob, ref)
-				}
+				continue
+			}
+			if string(blob) != string(ref) {
+				t.Errorf("%s workers=%d: faulted aggregate differs:\n%s\nreference: %s",
+					name, workers, blob, ref)
 			}
 		}
 		// Sharded: run each shard separately, merge, aggregate.
@@ -151,7 +147,7 @@ func TestFaultFirstErrorsNameTheirTrials(t *testing.T) {
 		Trials: 400, Seed: 11, MaxRounds: 1 << 22,
 		Faults: &FaultPlan{Seed: 5, PPanic: 0.03, PBuildErr: 0.03},
 	}
-	agg, err := RunStreaming(t.Context(), b)
+	agg, err := Run(t.Context(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,22 +181,25 @@ func sprintfTrialErr(trial int, prefix string, faultTrial int) string {
 	return "trial " + strconv.Itoa(trial) + ": " + prefix + " " + strconv.Itoa(faultTrial)
 }
 
-// Fault injection interposes on steppers, so a batch that cannot take
-// the stepper path must reject a fault plan instead of silently
-// running clean.
+// Fault injection interposes on steppers, and every strategy reaches
+// them: a faulted batch of a strategy registered with Programs alone
+// must inject its faults rather than run clean, and an invalid plan
+// must fail batch validation.
 func TestFaultPlanRequiresStepperPath(t *testing.T) {
 	g, sa, sb := testGraph(t)
 	b := Batch{
 		Graph: g, StartA: sa, StartB: sb,
-		Algorithm: "whiteboard", Delta: g.MinDegree(),
+		Algorithm: programOnly, Delta: g.MinDegree(),
 		Trials: 4, Seed: 1, MaxRounds: 1 << 22,
-		ForceProgramPath: true,
-		Faults:           &FaultPlan{Seed: 1, PPanic: 0.5},
+		Faults: &FaultPlan{Seed: 1, PPanic: 1},
 	}
-	if _, err := Run(t.Context(), b); err == nil || !strings.Contains(err.Error(), "stepper path") {
-		t.Errorf("ForceProgramPath + Faults: got err %v, want stepper-path rejection", err)
+	agg, err := Run(t.Context(), b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.ForceProgramPath = false
+	if agg.Errors != b.Trials || len(agg.FirstErrors) == 0 || !strings.Contains(agg.FirstErrors[0], "fault injection: panic") {
+		t.Errorf("program-only strategy with every trial faulted: %+v, want every trial an injected panic", agg)
+	}
 	b.Faults = &FaultPlan{Seed: 1, PPanic: 2}
 	if _, err := Run(t.Context(), b); err == nil {
 		t.Error("invalid fault probability passed batch validation")

@@ -10,28 +10,22 @@ import (
 	"fnr/internal/algo"
 )
 
-// This file is the bounded-memory aggregation path: per-worker
-// Reducer state absorbs outcomes as trials finish, Merge combines the
-// workers' parts, and the merged reducer emits the same Aggregate
-// shape Run produces — without ever materializing an O(trials)
-// outcome slice. Memory is O(distinct observed values), which for
-// round/move counts is tiny compared to the trial count of the
-// 10M-trial sweeps this exists for (a batch drawing a million
-// distinct move totals would still hold two 16 MB tables, not a
-// 320 MB outcome slice).
+// This file is the engine's one aggregator: per-worker Reducer state
+// absorbs outcomes as trials finish, Merge combines the workers'
+// parts, and the merged reducer emits the batch's Aggregate — without
+// ever materializing an O(trials) outcome slice. Memory is
+// O(distinct observed values), which for round/move counts is tiny
+// compared to the trial count of the 10M-trial sweeps this exists for
+// (a batch drawing a million distinct move totals would still hold
+// two 16 MB tables, not a 320 MB outcome slice).
 //
 // Determinism: a reducer is a multiset (sorted value → count
 // tables), so Merge is order- and partition-insensitive — any worker
-// count, lane width or chunk assignment merges to the same state,
+// count, shard split or chunk assignment merges to the same state,
 // byte for byte. Median/P95/Min/Max reproduce stats.Quantile's
 // arithmetic exactly (same interpolation on the same sorted values),
-// so they are bit-identical to AggregateOutcomes. Mean is the one
-// deliberate divergence: AggregateOutcomes streams Welford in trial
-// order (order-sensitive rounding), while the reducer computes the
-// multiset mean Σ value·count / n — deterministic and
-// partition-independent, but up to a few ULPs from the Welford
-// result. Values fit float64 exactly (round/move counts are bounded
-// by 4n²+1000 « 2⁵³).
+// and Mean is the multiset mean Σ value·count / n. Values fit float64
+// exactly (round/move counts are bounded by 4n²+1000 « 2⁵³).
 
 // TrialSpan is a half-open range [Lo, Hi) of global trial indices — a
 // sharded batch's coverage metadata (see Batch.ShardCount).
@@ -53,9 +47,8 @@ type Reducer struct {
 // path wants).
 func NewReducer() *Reducer { return &Reducer{} }
 
-// Add absorbs one trial's outcome, mirroring AggregateOutcomes'
-// per-outcome bookkeeping: meeting rounds over met trials, move
-// totals over non-erroring trials, error detail by global trial
+// Add absorbs one trial's outcome: meeting rounds over met trials,
+// move totals over non-erroring trials, error detail by global trial
 // index (which is what keeps FirstErrors scheduling-independent).
 func (r *Reducer) Add(trial int, o Outcome) {
 	r.trials++
@@ -84,8 +77,8 @@ func (r *Reducer) reset() {
 
 // AddSpan records that this reducer covers the global trial range
 // [lo, hi). The spans list is kept as an arbitrary (possibly
-// overlapping, unsorted) cover and only coalesced on read — every
-// execution path calls AddSpan once per 64-trial chunk, and a
+// overlapping, unsorted) cover and only coalesced on read — the
+// engine calls AddSpan once per 64-trial chunk, and a
 // 10M-trial run making each add re-sort the list would turn
 // bookkeeping into the bottleneck. The common case (a worker
 // claiming adjacent chunks) still collapses on the spot.
@@ -155,9 +148,8 @@ func (r *Reducer) mergeFrom(p *Reducer) {
 	}
 }
 
-// Aggregate emits the batch summary from the reduced state — the
-// same shape (and, Mean's rounding aside, the same bytes) as
-// Run/AggregateOutcomes.
+// Aggregate emits the batch summary from the reduced state (what Run
+// returns).
 func (r *Reducer) Aggregate(b Batch) *Aggregate {
 	b = b.normalized()
 	agg := &Aggregate{
@@ -187,30 +179,12 @@ func (r *Reducer) Aggregate(b Batch) *Aggregate {
 	return agg
 }
 
-// RunStreaming executes the batch like Run but aggregates through
-// per-worker reducers: engine-owned memory is bounded by the number
-// of distinct observed values instead of the trial count, which is
-// what makes 10M-trial batches practical. Results are deterministic
-// at any worker count, lane width and path choice; see the file
-// comment for the one documented Mean-rounding divergence from Run.
-// Cancelling ctx returns (nil, ctx.Err()); callers that want the
-// partial state use RunReduced.
-func RunStreaming(ctx context.Context, b Batch) (*Aggregate, error) {
-	r, err := RunReduced(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return r.Aggregate(b), nil
-}
-
-// RunReduced is RunStreaming stopping one step earlier: it returns
-// the batch's merged reducer instead of the final aggregate. This is
-// the composition point for sharded sweeps — run each shard (same
-// Batch, different ShardIndex) in its own process, Merge the
-// reducers, and Aggregate the merge; the result is byte-identical to
-// the unsharded streaming run, mean included (the multiset mean is
-// partition-independent). A reducer carries its trial coverage in
-// Spans.
+// RunReduced is Run stopping one step earlier: it returns the batch's
+// merged reducer instead of the final aggregate. This is the
+// composition point for sharded sweeps — run each shard (same Batch,
+// different ShardIndex) in its own process, Merge the reducers, and
+// Aggregate the merge; the result is byte-identical to the unsharded
+// run. A reducer carries its trial coverage in Spans.
 //
 // Cancelling ctx stops the run at the next chunk boundary and
 // returns the reducer state completed so far TOGETHER WITH ctx.Err():
@@ -229,18 +203,17 @@ func RunReduced(ctx context.Context, b Batch) (*Reducer, error) {
 	return m, ctx.Err()
 }
 
-// chunkCollector is the per-worker sink of the reduced execution
-// paths: outcomes accumulate into r, and endChunk stamps each
-// completed chunk's trial-span coverage. In journal mode (out
-// non-nil) the collector instead flushes r to the shared journal
-// after every chunk and starts empty, so worker-local state stays
-// one chunk deep and a crash loses at most the chunks not yet
-// absorbed; in plain mode (out nil) r simply grows and the caller
-// merges the workers' parts — no locks anywhere near the hot loop.
+// chunkCollector is the per-worker sink of the reduced runs:
+// outcomes accumulate into r, and endChunk stamps each completed
+// chunk's trial-span coverage. In journal mode (out non-nil) the
+// collector instead flushes r to the shared journal after every chunk
+// and starts empty, so worker-local state stays one chunk deep and a
+// crash loses at most the chunks not yet absorbed; in plain mode (out
+// nil) r simply grows and the caller merges the workers' parts — no
+// locks anywhere near the hot loop.
 type chunkCollector struct {
 	r   *Reducer
 	out func(*Reducer)
-	sw  *stepperWorker // legacy per-trial stepper path only
 }
 
 func (c *chunkCollector) endChunk(from, to int) {
@@ -251,41 +224,16 @@ func (c *chunkCollector) endChunk(from, to int) {
 	}
 }
 
-// runReducedRange executes global trials [lo, hi) of the batch on
-// whichever path the batch selects, reducing per worker, and returns
-// the workers' reducer parts (empty husks in journal mode — the data
-// went to out). Coverage spans are stamped per completed chunk, so a
-// cancelled run's parts say exactly which trials they absorbed.
+// runReducedRange executes global trials [lo, hi) of the batch,
+// reducing per worker, and returns the workers' reducer parts (empty
+// husks in journal mode — the data went to out). Coverage spans are
+// stamped per completed chunk, so a cancelled run's parts say exactly
+// which trials they absorbed.
 func runReducedRange(ctx context.Context, b Batch, spec algo.Spec, opts algo.BuildOpts, lo, hi int, out func(*Reducer)) []*Reducer {
-	newCollector := func() *chunkCollector { return &chunkCollector{r: NewReducer(), out: out} }
-	var cs []*chunkCollector
-	switch {
-	case !b.useSteppers(spec):
-		cs = chunkedWorkers(ctx, b.Workers, hi-lo, newCollector,
-			func(c *chunkCollector, from, to int) {
-				for i := from; i < to; i++ {
-					c.r.Add(lo+i, runTrial(b, spec, opts, lo+i))
-				}
-				c.endChunk(lo+from, lo+to)
-			})
-	case b.laneWidth() > 0:
-		cs = runLanes(ctx, b, spec, opts, b.laneWidth(), lo, hi, newCollector,
-			func(c *chunkCollector, trial int, o Outcome) { c.r.Add(trial, o) },
-			func(c *chunkCollector, from, to int) { c.endChunk(from, to) })
-	default: // legacy one-trial-at-a-time stepper path
-		cs = chunkedWorkers(ctx, b.Workers, hi-lo,
-			func() *chunkCollector {
-				c := newCollector()
-				c.sw = newStepperWorker()
-				return c
-			},
-			func(c *chunkCollector, from, to int) {
-				for i := from; i < to; i++ {
-					c.r.Add(lo+i, c.sw.run(b, spec, opts, lo+i))
-				}
-				c.endChunk(lo+from, lo+to)
-			})
-	}
+	cs := runLanes(ctx, b, spec, opts, lo, hi,
+		func() *chunkCollector { return &chunkCollector{r: NewReducer(), out: out} },
+		func(c *chunkCollector, trial int, o Outcome) { c.r.Add(trial, o) },
+		func(c *chunkCollector, from, to int) { c.endChunk(from, to) })
 	parts := make([]*Reducer, len(cs))
 	for i, c := range cs {
 		parts[i] = c.r
@@ -326,10 +274,9 @@ func (d *distCounter) merge(o *distCounter) {
 	}
 }
 
-// dist summarizes the multiset exactly as DistOf summarizes the
-// expanded sample — bit-identical for Median/P95/Min/Max (same
-// quantile arithmetic on the same sorted values); Mean is the exact
-// multiset mean (see the file comment).
+// dist summarizes the multiset: Median/P95/Min/Max bit-identical to
+// stats.Quantile on the expanded sample (same quantile arithmetic on
+// the same sorted values), Mean the exact multiset mean.
 func (d *distCounter) dist() Dist {
 	if d.n == 0 {
 		return Dist{}
@@ -400,8 +347,8 @@ type errEntry struct {
 
 // errLog keeps the maxFirstErrors distinct error messages with the
 // lowest trial indices — deterministically, no matter in which order
-// the trials arrive or how they were partitioned across workers,
-// lanes or shards. The exactness argument: an entry that belongs in
+// the trials arrive or how they were partitioned across workers or
+// shards. The exactness argument: an entry that belongs in
 // the true top-K can only be rejected if K distinct messages with
 // strictly lower current indices are resident, and resident indices
 // never undercut their messages' true minima — so K messages with

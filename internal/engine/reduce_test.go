@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"fnr/internal/stats"
@@ -12,11 +13,10 @@ import (
 	_ "fnr/internal/baseline"
 )
 
-// RunStreaming must agree with Run on every aggregate field: exactly
-// for the counts and the quantile-derived statistics, and within a
-// few ULPs for the means (the documented Welford-vs-multiset
-// divergence).
-func TestRunStreamingMatchesRun(t *testing.T) {
+// Run's aggregate must be byte-identical to reducing RunOutcomes'
+// trial-ordered outcomes: the harness's per-trial entry point and the
+// aggregate entry point run the same trials.
+func TestRunMatchesReducedOutcomes(t *testing.T) {
 	g, sa, sb := testGraph(t)
 	for _, name := range []string{"whiteboard", "noboard", "birthday", "walkpair"} {
 		b := Batch{
@@ -24,81 +24,18 @@ func TestRunStreamingMatchesRun(t *testing.T) {
 			Algorithm: name, Delta: g.MinDegree(),
 			Trials: 40, Seed: 99, MaxRounds: 1 << 22,
 		}
-		want, err := Run(t.Context(), b)
+		agg, err := Run(t.Context(), b)
 		if err != nil {
 			t.Fatalf("%s Run: %v", name, err)
 		}
-		got, err := RunStreaming(t.Context(), b)
+		out, err := RunOutcomes(t.Context(), b)
 		if err != nil {
-			t.Fatalf("%s RunStreaming: %v", name, err)
+			t.Fatalf("%s RunOutcomes: %v", name, err)
 		}
-		if got.Algorithm != want.Algorithm || got.Trials != want.Trials ||
-			got.Seed != want.Seed || got.Met != want.Met ||
-			got.Failures != want.Failures || got.Errors != want.Errors ||
-			got.SuccessRate != want.SuccessRate {
-			t.Errorf("%s: counts differ: streaming %+v vs %+v", name, got, want)
-		}
-		checkDist := func(label string, g, w Dist) {
-			if g.Median != w.Median || g.P95 != w.P95 || g.Min != w.Min || g.Max != w.Max {
-				t.Errorf("%s %s: quantiles differ: streaming %+v vs %+v", name, label, g, w)
-			}
-			if diff := math.Abs(g.Mean - w.Mean); diff > 1e-9*math.Max(1, math.Abs(w.Mean)) {
-				t.Errorf("%s %s: means differ beyond rounding: %v vs %v", name, label, g.Mean, w.Mean)
-			}
-		}
-		checkDist("rounds", got.Rounds, want.Rounds)
-		checkDist("moves", got.Moves, want.Moves)
-	}
-}
-
-// The streaming path must itself be byte-identical across worker
-// counts, lane widths, and the per-trial fallback paths — the merge
-// is partition-insensitive by construction, and this pins it.
-func TestRunStreamingDeterministicAcrossWorkersAndWidths(t *testing.T) {
-	g, sa, sb := testGraph(t)
-	for _, name := range []string{"whiteboard", "noboard"} {
-		base := Batch{
-			Graph: g, StartA: sa, StartB: sb,
-			Algorithm: name, Delta: g.MinDegree(),
-			Trials: 24, Seed: 424, MaxRounds: 1 << 22,
-		}
-		var ref []byte
-		for _, workers := range []int{1, 4, 16} {
-			for _, width := range []int{-1, 1, 8, 64} {
-				b := base
-				b.Workers = workers
-				b.LaneWidth = width
-				agg, err := RunStreaming(t.Context(), b)
-				if err != nil {
-					t.Fatalf("%s workers=%d width=%d: %v", name, workers, width, err)
-				}
-				blob, err := json.Marshal(agg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref = blob
-					continue
-				}
-				if string(blob) != string(ref) {
-					t.Errorf("%s workers=%d width=%d: streaming aggregate differs:\n%s\nreference: %s",
-						name, workers, width, blob, ref)
-				}
-			}
-		}
-		// The Program path reduces to the same bytes too.
-		b := base
-		b.ForceProgramPath = true
-		agg, err := RunStreaming(t.Context(), b)
-		if err != nil {
-			t.Fatalf("%s program path: %v", name, err)
-		}
-		blob, err := json.Marshal(agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(blob) != string(ref) {
-			t.Errorf("%s: program-path streaming aggregate differs:\n%s\nreference: %s", name, blob, ref)
+		got, _ := json.Marshal(agg)
+		want, _ := json.Marshal(aggregateOf(b, out))
+		if string(got) != string(want) {
+			t.Errorf("%s: Run aggregate differs from its reduced outcomes:\n%s\n%s", name, got, want)
 		}
 	}
 }
@@ -193,10 +130,10 @@ func TestDistCounterQuantilesMatchStats(t *testing.T) {
 				t.Errorf("case %d q=%v: distCounter %v != stats %v", ci, q, got, want)
 			}
 		}
-		want := DistOf(expanded)
 		got := d.dist()
-		if got.Median != want.Median || got.P95 != want.P95 || got.Min != want.Min || got.Max != want.Max {
-			t.Errorf("case %d: dist quantiles %+v != DistOf %+v", ci, got, want)
+		if got.Median != stats.Median(expanded) || got.P95 != stats.Quantile(expanded, 0.95) ||
+			got.Min != slices.Min(expanded) || got.Max != slices.Max(expanded) {
+			t.Errorf("case %d: dist quantiles %+v differ from stats on %v", ci, got, expanded)
 		}
 	}
 	if !math.IsNaN((&distCounter{}).quantile(0.5)) {

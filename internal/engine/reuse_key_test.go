@@ -77,11 +77,11 @@ func TestReusedScratchAcrossGraphsAndStarts(t *testing.T) {
 				lane.Run(trialConfig(b, spec, 0), func(i int) uint64 { return TrialSeed(b.Seed, i) }, 0, trials,
 					func(i int, res *sim.Result, err error) { laneOut[i] = OutcomeOf(res, err) })
 				for i := range trials {
-					want := runStepperTrial(b, spec, opts, sim.NewTrialContext(), i)
+					want := soloTrial(b, spec, opts, sim.NewTrialContext(), i)
 					if want.Err {
 						t.Fatalf("%s trial %d errored on a fresh context", ph.name, i)
 					}
-					if got := runStepperTrial(b, spec, opts, shared, i); got != want {
+					if got := soloTrial(b, spec, opts, shared, i); got != want {
 						t.Errorf("%s trial %d: reused context %+v, fresh %+v", ph.name, i, got, want)
 					}
 					if laneOut[i] != want {

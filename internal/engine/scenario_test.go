@@ -35,31 +35,16 @@ func aggJSON(t *testing.T, b Batch) []byte {
 // The differential guarantee of the refactor: a scenario that is
 // observably the legacy two-agent setting aggregates byte-identically
 // to the same batch spelled with StartA/StartB — across worker
-// counts, lane widths, and all three execution paths, for both paper
-// algorithms.
+// counts, for both paper algorithms.
 func TestLegacyScenarioByteIdenticalAcrossPaths(t *testing.T) {
 	g, sa, sb := testGraph(t)
-	type pathCase struct {
-		name         string
-		workers      int
-		laneWidth    int
-		forceProgram bool
-	}
-	paths := []pathCase{
-		{"workers1/lane1", 1, 1, false},
-		{"workers4/lane1", 4, 1, false},
-		{"workers16/lane8", 16, 8, false},
-		{"workers4/lane8", 4, 8, false},
-		{"workers4/legacy-stepper", 4, -1, false},
-		{"workers4/program", 4, 0, true},
-	}
 	for _, name := range []string{"whiteboard", "noboard"} {
-		for _, pc := range paths {
+		for _, workers := range []int{1, 4, 16} {
 			legacy := Batch{
 				Graph: g, StartA: sa, StartB: sb,
 				Algorithm: name, Delta: g.MinDegree(),
 				Trials: 20, Seed: 77, MaxRounds: 1 << 22,
-				Workers: pc.workers, LaneWidth: pc.laneWidth, ForceProgramPath: pc.forceProgram,
+				Workers: workers,
 			}
 			scenario := legacy
 			scenario.StartA, scenario.StartB = 0, 0
@@ -69,7 +54,7 @@ func TestLegacyScenarioByteIdenticalAcrossPaths(t *testing.T) {
 			}
 			lj, sj := aggJSON(t, legacy), aggJSON(t, scenario)
 			if !bytes.Equal(lj, sj) {
-				t.Errorf("%s/%s: scenario batch diverged from legacy batch:\nlegacy:   %s\nscenario: %s", name, pc.name, lj, sj)
+				t.Errorf("%s/workers%d: scenario batch diverged from legacy batch:\nlegacy:   %s\nscenario: %s", name, workers, lj, sj)
 			}
 		}
 	}
@@ -101,7 +86,7 @@ func TestDistinctStartValidationKWay(t *testing.T) {
 }
 
 // k>2 scenarios run on every oblivious baseline and stay
-// deterministic across worker counts and lane widths; the paper's
+// deterministic across worker counts; the paper's
 // pairwise algorithms reject k>2 loudly.
 func TestKAgentScenarios(t *testing.T) {
 	g, _, _ := testGraph(t)
@@ -115,9 +100,9 @@ func TestKAgentScenarios(t *testing.T) {
 			Trials: 16, Seed: 31, MaxRounds: 1 << 12, Scenario: sc,
 		}
 		var blobs [][]byte
-		for _, w := range []struct{ workers, lane int }{{1, 1}, {8, 1}, {8, 8}} {
+		for _, workers := range []int{1, 8} {
 			b := base
-			b.Workers, b.LaneWidth = w.workers, w.lane
+			b.Workers = workers
 			blobs = append(blobs, aggJSON(t, b))
 		}
 		for i := 1; i < len(blobs); i++ {
@@ -180,14 +165,6 @@ func TestAggregateScenarioEcho(t *testing.T) {
 	if !agg.Scenario.Equal(want) {
 		t.Errorf("scenario echo = %+v, want %+v", agg.Scenario, want)
 	}
-	// The streaming path echoes identically.
-	streamed, err := RunStreaming(context.Background(), k3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !streamed.Equal(agg) {
-		t.Errorf("streaming aggregate diverged from Run on a scenario batch:\nrun:    %+v\nstream: %+v", agg, streamed)
-	}
 }
 
 // Checkpoint v2: scenario batches journal under the v2 magic with the
@@ -224,7 +201,7 @@ func TestCheckpointScenarioIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunStreaming(context.Background(), scen)
+	direct, err := Run(context.Background(), scen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +276,7 @@ func TestScenarioCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunStreaming(context.Background(), b)
+	direct, err := Run(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,6 @@ func runScenario(cfg Config, trials int, batchSeed uint64, g *graph.Graph, sc *s
 		Seed:       batchSeed,
 		MaxRounds:  maxRounds,
 		Workers:    cfg.Workers,
-		LaneWidth:  cfg.LaneWidth,
 		ShardIndex: cfg.ShardIndex,
 		ShardCount: cfg.ShardCount,
 	})

@@ -33,10 +33,6 @@ type Config struct {
 	Seeds int
 	// Workers bounds trial parallelism (default GOMAXPROCS).
 	Workers int
-	// LaneWidth selects the engine's lockstep lane width (0 = the
-	// engine default, < 0 = the per-trial stepper path). Like Workers
-	// it never affects results, only wall-clock time and memory.
-	LaneWidth int
 	// ShardIndex and ShardCount split every engine batch the suite
 	// submits across independent processes (see engine.Batch): shard
 	// i of k runs only its slice of each batch's trials, with seeds
@@ -137,7 +133,6 @@ func runAlgo(cfg Config, trials int, batchSeed uint64, g *graph.Graph, sa, sb gr
 		Seed:       batchSeed,
 		MaxRounds:  maxRounds,
 		Workers:    cfg.Workers,
-		LaneWidth:  cfg.LaneWidth,
 		ShardIndex: cfg.ShardIndex,
 		ShardCount: cfg.ShardCount,
 	})

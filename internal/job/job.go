@@ -264,10 +264,9 @@ type Spec struct {
 
 // ExecOptions are the per-process execution knobs that never affect
 // results (and therefore stay out of the canonical encoding): worker
-// parallelism and lockstep lane width.
+// parallelism.
 type ExecOptions struct {
-	Workers   int
-	LaneWidth int
+	Workers int
 }
 
 // Normalize maps equivalent spellings to one canonical form: default
@@ -506,7 +505,6 @@ func (s Spec) Batch(m Materialized, opt ExecOptions) (engine.Batch, error) {
 		Seed:       s.Seed,
 		MaxRounds:  s.MaxRounds,
 		Workers:    opt.Workers,
-		LaneWidth:  opt.LaneWidth,
 		ShardIndex: s.ShardIndex,
 		ShardCount: s.ShardCount,
 		Faults:     plan,

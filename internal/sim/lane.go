@@ -25,7 +25,7 @@ import (
 // lockstep runtime), ticks are the same state transitions a solo
 // runTeam performs, and trials are identified by index, so the
 // lane width — like the engine's worker count — affects wall-clock
-// time and memory only. The engine's differential suite pins this.
+// time and memory only. lane_test.go pins this.
 //
 // A TrialLane is not safe for concurrent use; give each worker
 // goroutine its own.
@@ -181,7 +181,7 @@ func (l *TrialLane) tickSlot(s int) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			l.quarantine(s)
-			done, err = true, PanicError(r)
+			done, err = true, panicError(r)
 		}
 	}()
 	return l.tcs[s].rt.tick(&l.res[s])
@@ -226,7 +226,7 @@ func (l *TrialLane) armSlot(s int, cfg Config, seed uint64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			l.quarantine(s)
-			err = PanicError(r)
+			err = panicError(r)
 		}
 	}()
 	return l.arm(s, cfg, seed)

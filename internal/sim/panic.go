@@ -2,13 +2,10 @@ package sim
 
 import "fmt"
 
-// PanicError formats a recovered panic value as the error a panicking
-// trial surfaces. Every execution path that isolates a trial panic —
-// the lockstep lane and the engine's per-trial stepper path — must
-// produce byte-identical messages for the same panic value, or the
-// engine's first-error reporting would depend on which path ran the
-// trial; this helper is the single definition of that formatting.
-func PanicError(r any) error {
+// panicError formats a recovered panic value as the error a panicking
+// trial surfaces: the single definition of that message, which the
+// engine's first-error reporting keys on.
+func panicError(r any) error {
 	return fmt.Errorf("sim: trial panicked: %v", r)
 }
 

@@ -9,15 +9,14 @@ import "iter"
 // switch instead of the two unbuffered-channel operations (plus
 // scheduler wakeups) the goroutine path pays. Observable behavior —
 // actions, RNG draws, round accounting, panic and Halt handling — is
-// identical to running the same Program under Run; the differential
-// suite in internal/engine holds the two paths to byte-identical
-// results.
+// identical to running the same Program under Run.
 //
-// This is how the paper's two algorithms ride the fast path while
-// staying in direct style; strategies wanting the last word in trial
-// throughput implement Stepper natively instead (see
-// internal/baseline for examples, and README.md, "Writing a fast
-// strategy").
+// This is how a strategy registered with Programs alone runs in
+// batches; strategies wanting the last word in trial throughput
+// implement Stepper natively instead (see internal/baseline for
+// examples, and README.md, "Writing a fast strategy"). The engine's
+// differential suite holds every native stepper to byte-identical
+// results against its Programs hosted here.
 func NewProgramStepper(prog Program) Stepper {
 	return &pullProgramStepper{prog: prog}
 }
