@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -127,8 +129,35 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if err := tb.WriteCSV(&buf); err != nil {
 				t.Fatalf("%s: csv: %v", e.ID, err)
 			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != quickTableDigests[e.ID] {
+				t.Errorf("%s: quick table CSV sha256 = %s, want %s\n%s", e.ID, got, quickTableDigests[e.ID], buf.String())
+			}
 		})
 	}
+}
+
+// quickTableDigests pins every experiment's quick-mode table
+// (Config{Quick: true, Seeds: 2}) byte for byte: the sha256 of its
+// WriteCSV output. Every number in a table is a deterministic function
+// of seeds and code, so any change here is a change in what the
+// experiments report — re-pin only with a reason that explains it.
+var quickTableDigests = map[string]string{
+	"E1":  "4f992f9e4cea792f65733d275468770a3b22e112fa3d271bc5028d9ff7f71c7a",
+	"E2":  "b1397179f41e9fbe46970cd4547ff04067e7f5347865891da70a3337770c5f79",
+	"E3":  "b68466667e848d6b4d84bbb71e22a29697c90ea3c1a6496b26c15ef44532ae19",
+	"E4":  "5d051f8eff97f68688c81d7b0d8c3d9fb03f5cbf6f122d7f8802670b37953cbc",
+	"E5":  "85266c3b6c47f2836dee52d52c159e51191b6e1ad4afd2ceed6b10f5922294a4",
+	"E6":  "7a101c5c473f051225738706c7adfa8a0dd26c2d73c11fc70f6dc13f8480f1c9",
+	"E7":  "1995b63d2bce71abd23c7a7431f80464407dba117e26d9785d5db9c4cf776d88",
+	"E8":  "c6e3e25a5867afcfba850625d3b00b8a687ddbd7e5e86fd14963ce94600f6db7",
+	"E9":  "a8b3a5e408219f239d04803cd87bb958add16c352698dc2b0df19e89930fe42d",
+	"E10": "cc386144b556ed9f652f7a095d5daa5af15d9d172cb9399834e18570de3f11ba",
+	"E11": "0559b9a0c6389a66172585baafd20f0cf6b057eda8196af71bfed58d920be822",
+	"E12": "6b86fd4c948270c55666ab3da63b7743926eabea0d2f3376f44da063fa230490",
+	"S1":  "473b221add45624eb01274e1be12a58d019b164a297f021d5f67c8ffd49f60ec",
+	"A1":  "b20b1ef76cee32730c0ba3acef10bdc4f184cd1808c06f472a20f2f7fc4eb397",
+	"A2":  "2c178a157198c856def3ded716f6b9c9edca1ade71098259bffbe9069b874a83",
 }
 
 func TestBoundFunctions(t *testing.T) {
