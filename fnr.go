@@ -330,9 +330,9 @@ type (
 // A spec describes its agents two ways:
 //
 //   - Build (required) constructs direct-style Programs: ordinary Go
-//     functions, easiest to write and read, each hosted on its own
-//     goroutine with two channel handoffs per acting round when run
-//     via Rendezvous/RunPrograms.
+//     functions, easiest to write and read, each hosted on a coroutine
+//     (ProgramStepper) wherever it runs — Rendezvous, RunPrograms and
+//     batches alike.
 //   - BuildSteppers constructs the state-machine Steppers that
 //     RunBatch steps inline, with per-trial scratch reuse. Left nil,
 //     registration fills it with AlgorithmSteppersFromPrograms(Build),
@@ -567,7 +567,7 @@ func RunPrograms(cfg SimConfig, a, b Program) (*Result, error) {
 }
 
 // RunSteppers executes two state-machine agents under an explicit
-// simulation configuration — the goroutine-free counterpart of
+// simulation configuration — the state-machine counterpart of
 // RunPrograms. Mixing styles is fine: wrap a Program with
 // ProgramStepper to run it against a native Stepper.
 func RunSteppers(cfg SimConfig, a, b Stepper) (*Result, error) {

@@ -9,7 +9,7 @@ import (
 // this package (blank imports included) is enough to make them
 // resolvable by name. Orders 2–6 preserve the historical
 // fnr.Algorithm constant values. Every baseline registers three
-// forms: Build (direct-style programs, the goroutine path),
+// forms: Build (direct-style programs, hosted on coroutines),
 // BuildSteppers (the native state machines of steppers.go, the
 // engine's fast path), and BuildTeam — the baselines are all
 // oblivious, so the k-agent generalization is agent 0 in the a-role

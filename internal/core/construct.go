@@ -8,7 +8,7 @@ import (
 
 // WhiteboardStats collects diagnostics from agent a's run of the
 // Theorem-1 algorithm. Fill it in by passing a pointer to the agent
-// constructors; it is written only by the agent goroutine and must be
+// constructors; it is written only by the running agent and must be
 // read only after sim.Run returns.
 type WhiteboardStats struct {
 	// Iterations is the number of Construct iterations (the paper's i;

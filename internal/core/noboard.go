@@ -62,7 +62,7 @@ func (s noboardSchedule) phaseEnd(i int64) int64 {
 }
 
 // NoboardStats collects diagnostics from a run of the Theorem-2
-// algorithm. Written only by the agents' goroutines; read it after
+// algorithm. Written only by the running agents; read it after
 // sim.Run returns.
 type NoboardStats struct {
 	// Construct holds agent a's Construct diagnostics.

@@ -129,7 +129,8 @@ type walkerCore struct {
 }
 
 // walker couples a walkerCore to the Program path's Env: movement
-// (goTo/goHome) and observation go through blocking Env calls.
+// (goTo/goHome) and observation go through Env calls, each suspending
+// the program's coroutine until its next acting round.
 type walker struct {
 	walkerCore
 	e *sim.Env

@@ -28,17 +28,31 @@ func bytesPerTrial(t *testing.T, b Batch, trials int, tcFor func() *sim.TrialCon
 			t.Fatalf("warm-up trial %d errored", i)
 		}
 	}
+	bytes, allocs := heapAllocs(func() {
+		for i := 1; i <= trials; i++ {
+			if out := soloTrial(b, spec, opts, tcFor(), i); out.Err {
+				t.Fatalf("trial %d errored", i)
+			}
+		}
+	})
+	return float64(bytes) / float64(trials), float64(allocs) / float64(trials)
+}
+
+// heapAllocs returns the heap bytes and objects allocated while f runs.
+// MemStats counts are process-wide, so the window runs at GOMAXPROCS 1:
+// ReadMemStats restarts the world, and with an idle P to hand out that
+// restart may start a new OS thread, whose runtime structures (about
+// 5 KB in 5 objects) are heap-allocated and would land in the window —
+// a host under load makes that likely. With the one P held by the
+// caller there is no idle P, so no thread start.
+func heapAllocs(f func()) (bytes, allocs uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	for i := 1; i <= trials; i++ {
-		if out := soloTrial(b, spec, opts, tcFor(), i); out.Err {
-			t.Fatalf("trial %d errored", i)
-		}
-	}
+	f()
 	runtime.ReadMemStats(&m1)
-	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(trials),
-		float64(m1.Mallocs-m0.Mallocs) / float64(trials)
+	return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
 }
 
 // TestWhiteboardTrialScratchAllocs is the allocation-regression gate
@@ -119,11 +133,10 @@ func TestNativePaperStepperSetupAllocs(t *testing.T) {
 
 // TestLockstepLaneAllocs is the allocation-regression gate for the
 // lockstep lane path (CI runs it via the -run 'Allocs' step): once a
-// lane is warm — steppers built, per-slot scratch grown — re-running
-// a whiteboard trial range must cost under 128 B/trial amortized, at
-// the engine's width 1 and at width 8. The lane's whole point is that
-// per-trial setup (stepper builds, result boxes, context re-arming)
-// amortizes to nothing; this pins it.
+// lane is warm — steppers built, scratch grown — re-running a
+// whiteboard trial range must cost under 128 B/trial amortized. The
+// lane's whole point is that per-trial setup (stepper builds, result
+// boxes, context re-arming) amortizes to nothing; this pins it.
 func TestLockstepLaneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -150,22 +163,16 @@ func TestLockstepLaneAllocs(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
-	for _, width := range []int{1, 8} {
-		lane := sim.NewTrialLane(width, func() (sim.Stepper, sim.Stepper, error) {
-			return spec.Steppers(opts)
-		})
-		lane.Run(cfg, seedOf, 0, trials, emit) // warm every slot and trial
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		lane.Run(cfg, seedOf, 0, trials, emit)
-		runtime.ReadMemStats(&m1)
-		lane.Close()
-		bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(trials)
-		allocsPer := float64(m1.Mallocs-m0.Mallocs) / float64(trials)
-		t.Logf("warm lane, width %d: %.1f B/trial, %.2f allocs/trial", width, bytesPer, allocsPer)
-		if bytesPer > 128 {
-			t.Errorf("warm lockstep lane of width %d allocates %.1f B/trial, want < 128", width, bytesPer)
-		}
+	lane := sim.NewTrialLane(func() (sim.Stepper, sim.Stepper, error) {
+		return spec.Steppers(opts)
+	})
+	lane.Run(cfg, seedOf, 0, trials, emit) // warm the team and every trial's scratch
+	bytes, allocs := heapAllocs(func() { lane.Run(cfg, seedOf, 0, trials, emit) })
+	lane.Close()
+	bytesPer := float64(bytes) / float64(trials)
+	allocsPer := float64(allocs) / float64(trials)
+	t.Logf("warm lane: %.1f B/trial, %.2f allocs/trial", bytesPer, allocsPer)
+	if bytesPer > 128 {
+		t.Errorf("warm lockstep lane allocates %.1f B/trial, want < 128", bytesPer)
 	}
 }

@@ -406,8 +406,8 @@ type laneWorker[S any] struct {
 
 // runLanes executes trials [lo, hi) of the batch — the engine's one
 // execution path: a pool of workers, each owning one sink and one
-// width-1 sim.TrialLane that keeps its stepper team and TrialContext
-// scratch warm across every trial the worker runs. Workers claim
+// sim.TrialLane that keeps its stepper team and TrialContext scratch
+// warm across every trial the worker runs. Workers claim
 // trial-index chunks and stream each finished trial's Outcome into
 // their sink via emit. Emitted trial indices are global
 // (shard-offset), matching the seeds. After each chunk, cover (if
@@ -419,15 +419,9 @@ type laneWorker[S any] struct {
 // Worker count and chunk assignment never affect which Outcome a
 // trial produces.
 //
-// One resident trial per worker, because the paper algorithms' walker
-// scratch is large and hot: several resident trials evict each other
-// from L1d and L2 (width 8 measured 15–35% slower than width 1 at
-// every n from 256 to 8192), while baseline trials run at the same
-// speed either way.
-//
-// Cancelling ctx stops each lane at its next refill boundary (via
-// lane.Stop): resident trials drain, nothing new is armed, and the
-// pool exits at the chunk-claim boundary.
+// Cancelling ctx stops each lane before its next arm (via lane.Stop):
+// the running trial finishes, nothing new is armed, and the pool exits
+// at the chunk-claim boundary.
 func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.BuildOpts, lo, hi int, newSink func() S, emit func(sink S, trial int, o Outcome), cover func(sink S, from, to int)) []S {
 	cfg := trialConfig(b, spec, 0) // per-trial seeds come from seedOf
 	seedOf := func(t int) uint64 { return TrialSeed(b.Seed, t) }
@@ -439,7 +433,7 @@ func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.Bui
 	}
 	workers := chunkedWorkers(ctx, b.Workers, hi-lo, func() *laneWorker[S] {
 		w := &laneWorker[S]{
-			lane: sim.NewTeamLane(1, build),
+			lane: sim.NewTeamLane(build),
 			sink: newSink(),
 		}
 		if b.Faults != nil {

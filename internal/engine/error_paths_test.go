@@ -134,11 +134,11 @@ func TestBuilderErrorMidBatchLeavesWorkerContextClean(t *testing.T) {
 }
 
 // TestPanicMidBatchQuarantinesWorkerContext extends the mid-batch
-// hygiene gate to panics on the engine's width-1 lane: a trial that
+// hygiene gate to panics on the engine's lane: a trial that
 // scribbles on its TrialContext and then panics out of Next must
 // surface as an error outcome carrying the panic message, and every
 // later trial on the same lane must reproduce the clean batch byte
-// for byte. (That the lane quarantines the panicking slot — stepper
+// for byte. (That the lane quarantines itself after a panic — stepper
 // team finished and rebuilt, TrialContext replaced — is pinned by
 // internal/sim's TestLanePanicQuarantinesSlot.)
 func TestPanicMidBatchQuarantinesWorkerContext(t *testing.T) {
@@ -162,15 +162,15 @@ func TestPanicMidBatchQuarantinesWorkerContext(t *testing.T) {
 			return out
 		}
 
-		clean := sim.NewTrialLane(1, paper)
+		clean := sim.NewTrialLane(paper)
 		cleanOut := runOn(clean, 0, base.Trials)
 		clean.Close()
 
 		// The dirty lane's builder is swapped between runs; Close
 		// drops the built team (so the next Run rebuilds from the
-		// current builder) but keeps the slot's TrialContext.
+		// current builder) but keeps the lane's TrialContext.
 		build := paper
-		dirty := sim.NewTrialLane(1, func() (sim.Stepper, sim.Stepper, error) { return build() })
+		dirty := sim.NewTrialLane(func() (sim.Stepper, sim.Stepper, error) { return build() })
 		defer dirty.Close()
 		dirtyOut := runOn(dirty, 0, 1)
 		dirty.Close()

@@ -27,7 +27,7 @@ const (
 	// FaultNone leaves the trial untouched.
 	FaultNone FaultKind = iota
 	// FaultPanic panics on the trial's first stepper Next call — the
-	// probe for per-trial panic isolation and slot quarantine.
+	// probe for per-trial panic isolation and lane quarantine.
 	FaultPanic
 	// FaultStall makes both agents stay put for the rest of the
 	// budget, so the trial deterministically exhausts MaxRounds (the

@@ -70,7 +70,7 @@ func TestReusedScratchAcrossGraphsAndStarts(t *testing.T) {
 					t.Fatal(err)
 				}
 				if lane == nil {
-					lane = sim.NewTrialLane(1, func() (sim.Stepper, sim.Stepper, error) { return spec.Steppers(opts) })
+					lane = sim.NewTrialLane(func() (sim.Stepper, sim.Stepper, error) { return spec.Steppers(opts) })
 					defer lane.Close()
 				}
 				laneOut := make([]Outcome, trials)

@@ -6,11 +6,11 @@ import (
 )
 
 // Program is an agent algorithm written in direct style against an Env.
-// Under Run the program gets its own goroutine and every Env movement
-// call costs exactly one simulated round, blocking until the runtime
-// advances; under NewProgramStepper the same function runs on a
-// coroutine inside the stepper fast path. Returning from the program
-// halts the agent at its current vertex (equivalent to Halt).
+// It runs on a coroutine hosted by NewProgramStepper (Run wraps each
+// program in one); every Env movement call costs exactly one simulated
+// round and suspends the program until the runtime advances. Returning
+// from the program halts the agent at its current vertex (equivalent
+// to Halt).
 type Program func(e *Env)
 
 // Env is an agent's handle onto the simulation: its view of the current
@@ -23,19 +23,12 @@ type Env struct {
 	boards  bool
 	rng     *rand.Rand
 	scratch *AgentScratch
-	// Channel transport (goroutine-backed adapter); nil in pull mode.
-	viewCh  <-chan View
-	actCh   chan<- Action
-	done    <-chan struct{}
-	cur     View
-	haveCur bool
-	// Coroutine transport (pull adapter); nil in channel mode.
-	pull    *pullProgramStepper
-	staged  bool  // staged whiteboard write
-	stagedV int64 // value of the staged write
+	host    *pullProgramStepper // the coroutine running this program
+	staged  bool                // staged whiteboard write
+	stagedV int64               // value of the staged write
 }
 
-// control-flow sentinels for unwinding agent goroutines/coroutines.
+// control-flow sentinels for unwinding agent coroutines.
 type ctrlSignal uint8
 
 const (
@@ -149,142 +142,18 @@ func (e *Env) Halt() {
 	panic(haltSignal)
 }
 
-// view returns the current round's observation, blocking for the
-// runtime if the previous action consumed it.
-func (e *Env) view() *View {
-	if e.pull != nil {
-		return e.pull.cur
-	}
-	if !e.haveCur {
-		select {
-		case v := <-e.viewCh:
-			e.cur = v
-			e.haveCur = true
-		case <-e.done:
-			panic(stopSignal)
-		}
-	}
-	return &e.cur
-}
+// view returns the current round's observation.
+func (e *Env) view() *View { return e.host.cur }
 
 // step submits an action (attaching any staged whiteboard write) and
-// marks the current view stale.
+// suspends the program until its next acting round.
 func (e *Env) step(act Action) {
-	// Ensure the round's view was produced before acting, so that a
-	// channel-mode runtime is in its receive state.
-	e.view()
 	if e.staged {
 		act.write = true
 		act.writeVal = e.stagedV
 		e.staged = false
 	}
-	if e.pull != nil {
-		if !e.pull.yield(act) {
-			panic(stopSignal)
-		}
-		return
-	}
-	e.haveCur = false
-	select {
-	case e.actCh <- act:
-	case <-e.done:
+	if !e.host.yieldFn(act) {
 		panic(stopSignal)
-	}
-}
-
-// exitAction maps a program's exit cause (the value recovered at its
-// top frame) to the final action reported to the runtime; ok=false
-// means a silent shutdown-driven exit.
-func exitAction(r any) (Action, bool) {
-	switch r {
-	case nil, haltSignal:
-		return Action{kind: actHalt}, true
-	case stopSignal:
-		return Action{}, false
-	default:
-		return Action{kind: actPanic, err: fmt.Errorf("program panic: %v", r)}, true
-	}
-}
-
-// chanProgramStepper hosts a Program on its own goroutine and bridges
-// it to the stepper runtime with a pair of unbuffered channels — the
-// classic "goroutine path". Every acting round costs two channel
-// handoffs; batch callers wanting the fast path use the coroutine
-// adapter (NewProgramStepper) or a native Stepper instead.
-type chanProgramStepper struct {
-	prog    Program
-	env     *Env
-	viewCh  chan View
-	actCh   chan Action
-	done    chan struct{}
-	exited  chan struct{}
-	started bool
-}
-
-func newChanProgramStepper(prog Program) *chanProgramStepper {
-	return &chanProgramStepper{
-		prog:   prog,
-		viewCh: make(chan View),
-		actCh:  make(chan Action),
-		done:   make(chan struct{}),
-		exited: make(chan struct{}),
-	}
-}
-
-// Init launches the agent goroutine. The program begins executing
-// immediately but blocks on its first observation until the runtime
-// delivers the round-0 view.
-func (ps *chanProgramStepper) Init(ctx *StepContext) {
-	ps.env = &Env{
-		name:    ctx.Name,
-		nPrime:  ctx.NPrime,
-		kt1:     ctx.NeighborIDs,
-		boards:  ctx.Whiteboards,
-		rng:     ctx.Rand,
-		scratch: ctx.Scratch,
-		viewCh:  ps.viewCh,
-		actCh:   ps.actCh,
-		done:    ps.done,
-	}
-	ps.started = true
-	go func() {
-		defer close(ps.exited)
-		defer func() {
-			act, ok := exitAction(recover())
-			if !ok {
-				return // runtime is shutting down; exit silently
-			}
-			select {
-			case ps.actCh <- act:
-			case <-ps.done:
-			}
-		}()
-		ps.prog(ps.env)
-	}()
-}
-
-// Next delivers the current view to the agent and collects its action.
-// If the agent already produced an action without consuming a view
-// (e.g. it halted right after its previous move), the stale view is
-// discarded.
-func (ps *chanProgramStepper) Next(v *View) Action {
-	select {
-	case ps.viewCh <- *v:
-		return <-ps.actCh
-	case act := <-ps.actCh:
-		return act
-	}
-}
-
-// Finish tears the agent goroutine down (idempotent, safe before
-// Init) — the Finisher hook the runtime calls on every exit path.
-func (ps *chanProgramStepper) Finish() {
-	select {
-	case <-ps.done:
-	default:
-		close(ps.done)
-	}
-	if ps.started {
-		<-ps.exited
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 )
 
@@ -16,9 +15,9 @@ func (s *reusableWalkStepper) Reset(ctx *StepContext) { s.Init(ctx) }
 func laneSeed(t int) uint64 { return uint64(t)*2654435761 + 17 }
 
 // TestLaneMatchesSoloRuns pins the lane's core guarantee: running a
-// range of trials through a TrialLane — at any width, reusable or
-// not — produces exactly the results of running each trial alone
-// with a fresh context and freshly built steppers.
+// range of trials through a TrialLane — reusable or not — produces
+// exactly the results of running each trial alone with a fresh
+// context and freshly built steppers.
 func TestLaneMatchesSoloRuns(t *testing.T) {
 	g := mustComplete(t, 12)
 	cfg := Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 100000}
@@ -44,49 +43,47 @@ func TestLaneMatchesSoloRuns(t *testing.T) {
 		},
 	}
 	for name, build := range builders {
-		for _, width := range []int{1, 3, 8, 64} {
-			t.Run(fmt.Sprintf("%s/width=%d", name, width), func(t *testing.T) {
-				lane := NewTrialLane(width, build)
-				defer lane.Close()
-				got := make([]*Result, trials)
-				// Two chunked calls on one lane, like the engine's
-				// chunk claiming, to cover warm re-Run.
-				emit := func(trial int, res *Result, err error) {
-					if err != nil {
-						t.Fatalf("trial %d: %v", trial, err)
-					}
-					if got[trial] != nil {
-						t.Fatalf("trial %d emitted twice", trial)
-					}
-					c := *res
-					got[trial] = &c
+		t.Run(name, func(t *testing.T) {
+			lane := NewTrialLane(build)
+			defer lane.Close()
+			got := make([]*Result, trials)
+			// Two chunked calls on one lane, like the engine's chunk
+			// claiming, to cover warm re-Run.
+			emit := func(trial int, res *Result, err error) {
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
 				}
-				lane.Run(cfg, laneSeed, 0, trials/2, emit)
-				lane.Run(cfg, laneSeed, trials/2, trials, emit)
-				for i := range want {
-					if got[i] == nil {
-						t.Fatalf("trial %d never emitted", i)
-					}
-					if !resultsEqual(got[i], want[i]) {
-						t.Errorf("trial %d: lane %+v != solo %+v", i, *got[i], *want[i])
-					}
+				if got[trial] != nil {
+					t.Fatalf("trial %d emitted twice", trial)
 				}
-			})
-		}
+				c := *res
+				got[trial] = &c
+			}
+			lane.Run(cfg, laneSeed, 0, trials/2, emit)
+			lane.Run(cfg, laneSeed, trials/2, trials, emit)
+			for i := range want {
+				if got[i] == nil {
+					t.Fatalf("trial %d never emitted", i)
+				}
+				if !resultsEqual(got[i], want[i]) {
+					t.Errorf("trial %d: lane %+v != solo %+v", i, *got[i], *want[i])
+				}
+			}
+		})
 	}
 }
 
 // TestLaneBuilderAmortization pins the reuse contract's economics:
-// a Reusable pair is built once per slot, a plain pair once per
+// a Reusable pair is built once per lane, a plain pair once per
 // trial.
 func TestLaneBuilderAmortization(t *testing.T) {
 	g := mustComplete(t, 8)
 	cfg := Config{Graph: g, StartA: 0, StartB: 3, MaxRounds: 100000}
-	const trials, width = 20, 4
+	const trials = 20
 
 	count := func(build func() (Stepper, Stepper, error)) int {
 		n := 0
-		lane := NewTrialLane(width, func() (Stepper, Stepper, error) {
+		lane := NewTrialLane(func() (Stepper, Stepper, error) {
 			n++
 			return build()
 		})
@@ -101,8 +98,8 @@ func TestLaneBuilderAmortization(t *testing.T) {
 
 	if n := count(func() (Stepper, Stepper, error) {
 		return &reusableWalkStepper{}, &reusableWalkStepper{}, nil
-	}); n != width {
-		t.Errorf("reusable pair: %d builds, want %d (one per slot)", n, width)
+	}); n != 1 {
+		t.Errorf("reusable pair: %d builds, want 1 (one per lane)", n)
 	}
 	if n := count(func() (Stepper, Stepper, error) {
 		return &walkStepper{}, &walkStepper{}, nil
@@ -119,7 +116,7 @@ func TestLaneBuilderErrors(t *testing.T) {
 	cfg := Config{Graph: g, StartA: 0, StartB: 3, MaxRounds: 100000}
 	boom := errors.New("boom")
 	calls := 0
-	lane := NewTrialLane(2, func() (Stepper, Stepper, error) {
+	lane := NewTrialLane(func() (Stepper, Stepper, error) {
 		calls++
 		if calls%2 == 0 {
 			return nil, nil, boom
@@ -156,7 +153,7 @@ func TestLaneBuilderErrors(t *testing.T) {
 func TestLaneNilStepperBuilder(t *testing.T) {
 	g := mustComplete(t, 8)
 	cfg := Config{Graph: g, StartA: 0, StartB: 3, MaxRounds: 100000}
-	lane := NewTrialLane(2, func() (Stepper, Stepper, error) {
+	lane := NewTrialLane(func() (Stepper, Stepper, error) {
 		return nil, nil, nil
 	})
 	defer lane.Close()
@@ -199,7 +196,7 @@ func (h panicAtTrialHook) PostArm(trial int, team []Stepper) {
 }
 
 // TestLanePanicQuarantinesSlot: a panicking trial surfaces as that
-// trial's error, its slot is quarantined — the stepper pair is
+// trial's error, the lane is quarantined — the stepper pair is
 // abandoned and rebuilt, never re-armed — and every other trial of
 // the range still matches its solo run exactly.
 func TestLanePanicQuarantinesSlot(t *testing.T) {
@@ -218,111 +215,106 @@ func TestLanePanicQuarantinesSlot(t *testing.T) {
 		want[i] = res
 	}
 
-	for _, width := range []int{1, 3, 8} {
-		builds := 0
-		lane := NewTrialLane(width, func() (Stepper, Stepper, error) {
-			builds++
-			return &armedPanicStepper{}, &armedPanicStepper{}, nil
-		})
-		lane.Hook = panicAtTrialHook{target: target}
-		got := make([]*Result, trials)
-		var panicErr error
-		wm := lane.Run(cfg, laneSeed, 0, trials, func(trial int, res *Result, err error) {
-			if trial == target {
-				panicErr = err
-				return
-			}
-			if err != nil {
-				t.Fatalf("width=%d trial %d: %v", width, trial, err)
-			}
-			c := *res
-			got[trial] = &c
-		})
-		if wm != trials {
-			t.Fatalf("width=%d: watermark %d, want %d (a panic must not stop the range)", width, wm, trials)
+	builds := 0
+	lane := NewTrialLane(func() (Stepper, Stepper, error) {
+		builds++
+		return &armedPanicStepper{}, &armedPanicStepper{}, nil
+	})
+	defer lane.Close()
+	lane.Hook = panicAtTrialHook{target: target}
+	got := make([]*Result, trials)
+	var panicErr error
+	wm := lane.Run(cfg, laneSeed, 0, trials, func(trial int, res *Result, err error) {
+		if trial == target {
+			panicErr = err
+			return
 		}
-		if panicErr == nil || panicErr.Error() != "sim: trial panicked: lane slot panic" {
-			t.Fatalf("width=%d: target trial error = %v, want the panic message", width, panicErr)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for i := range want {
-			if i == target {
-				continue
-			}
-			if got[i] == nil {
-				t.Fatalf("width=%d: trial %d never emitted", width, i)
-			}
-			if !resultsEqual(got[i], want[i]) {
-				t.Errorf("width=%d trial %d: post-panic lane %+v != solo %+v", width, i, *got[i], *want[i])
-			}
+		c := *res
+		got[trial] = &c
+	})
+	if wm != trials {
+		t.Fatalf("watermark %d, want %d (a panic must not stop the range)", wm, trials)
+	}
+	if panicErr == nil || panicErr.Error() != "sim: trial panicked: lane slot panic" {
+		t.Fatalf("target trial error = %v, want the panic message", panicErr)
+	}
+	for i := range want {
+		if i == target {
+			continue
 		}
-		// Reusable steppers build once per slot; the quarantined slot
-		// rebuilds exactly once more.
-		if builds != width+1 {
-			t.Errorf("width=%d: %d builds, want %d (one per slot plus the quarantine rebuild)", width, builds, width+1)
+		if got[i] == nil {
+			t.Fatalf("trial %d never emitted", i)
 		}
-		lane.Close()
+		if !resultsEqual(got[i], want[i]) {
+			t.Errorf("trial %d: post-panic lane %+v != solo %+v", i, *got[i], *want[i])
+		}
+	}
+	// Reusable steppers build once; the quarantined lane rebuilds
+	// exactly once more.
+	if builds != 2 {
+		t.Errorf("%d builds, want 2 (the first build plus the quarantine rebuild)", builds)
 	}
 }
 
-// TestLaneStopWatermark: Stop ends the run at a refill boundary; the
+// TestLaneStopWatermark: Stop ends the run before an arm; the
 // watermark is the first un-armed trial, everything below it was
-// emitted exactly once (resident trials drain), nothing at or above
-// it was touched.
+// emitted exactly once, nothing at or above it was touched.
 func TestLaneStopWatermark(t *testing.T) {
 	g := mustComplete(t, 12)
 	cfg := Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 100000}
 	const trials, stopAfter = 400, 25
 
-	for _, width := range []int{1, 4, 16} {
-		lane := NewTrialLane(width, func() (Stepper, Stepper, error) {
-			return &reusableWalkStepper{}, &reusableWalkStepper{}, nil
-		})
-		emitted := map[int]int{}
-		stop := false
-		lane.Stop = func() bool { return stop }
-		wm := lane.Run(cfg, laneSeed, 0, trials, func(trial int, res *Result, err error) {
-			if err != nil {
-				t.Fatalf("width=%d trial %d: %v", width, trial, err)
-			}
-			emitted[trial]++
-			if len(emitted) >= stopAfter {
-				stop = true
-			}
-		})
-		if wm >= trials || wm < stopAfter {
-			t.Fatalf("width=%d: watermark %d outside the expected [%d, %d) window", width, wm, stopAfter, trials)
+	lane := NewTrialLane(func() (Stepper, Stepper, error) {
+		return &reusableWalkStepper{}, &reusableWalkStepper{}, nil
+	})
+	defer lane.Close()
+	emitted := map[int]int{}
+	stop := false
+	lane.Stop = func() bool { return stop }
+	wm := lane.Run(cfg, laneSeed, 0, trials, func(trial int, res *Result, err error) {
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for trial := 0; trial < wm; trial++ {
-			if emitted[trial] != 1 {
-				t.Errorf("width=%d: trial %d below watermark %d emitted %d times, want 1", width, trial, wm, emitted[trial])
-			}
+		emitted[trial]++
+		if len(emitted) >= stopAfter {
+			stop = true
 		}
-		for trial := range emitted {
-			if trial >= wm {
-				t.Errorf("width=%d: trial %d at/above watermark %d was emitted", width, trial, wm)
-			}
+	})
+	if wm >= trials || wm < stopAfter {
+		t.Fatalf("watermark %d outside the expected [%d, %d) window", wm, stopAfter, trials)
+	}
+	for trial := 0; trial < wm; trial++ {
+		if emitted[trial] != 1 {
+			t.Errorf("trial %d below watermark %d emitted %d times, want 1", trial, wm, emitted[trial])
 		}
-		// A stopped lane stays stopped: the next Run arms nothing.
-		if wm2 := lane.Run(cfg, laneSeed, wm, trials, func(int, *Result, error) {
-			t.Errorf("width=%d: stopped lane emitted a trial", width)
-		}); wm2 != wm {
-			t.Errorf("width=%d: stopped lane advanced its watermark %d → %d", width, wm, wm2)
+	}
+	for trial := range emitted {
+		if trial >= wm {
+			t.Errorf("trial %d at/above watermark %d was emitted", trial, wm)
 		}
-		// Clearing Stop resumes from the watermark; the union covers
-		// the range exactly once.
-		lane.Stop = nil
-		lane.Run(cfg, laneSeed, wm, trials, func(trial int, res *Result, err error) {
-			if err != nil {
-				t.Fatalf("width=%d trial %d: %v", width, trial, err)
-			}
-			emitted[trial]++
-		})
-		for trial := 0; trial < trials; trial++ {
-			if emitted[trial] != 1 {
-				t.Errorf("width=%d: trial %d emitted %d times across stop+resume, want 1", width, trial, emitted[trial])
-			}
+	}
+	// A stopped lane stays stopped: the next Run arms nothing.
+	if wm2 := lane.Run(cfg, laneSeed, wm, trials, func(int, *Result, error) {
+		t.Error("stopped lane emitted a trial")
+	}); wm2 != wm {
+		t.Errorf("stopped lane advanced its watermark %d → %d", wm, wm2)
+	}
+	// Clearing Stop resumes from the watermark; the union covers the
+	// range exactly once.
+	lane.Stop = nil
+	lane.Run(cfg, laneSeed, wm, trials, func(trial int, res *Result, err error) {
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		lane.Close()
+		emitted[trial]++
+	})
+	for trial := 0; trial < trials; trial++ {
+		if emitted[trial] != 1 {
+			t.Errorf("trial %d emitted %d times across stop+resume, want 1", trial, emitted[trial])
+		}
 	}
 }
 
@@ -330,7 +322,7 @@ func TestLaneStopWatermark(t *testing.T) {
 // every trial of the range without building any steppers.
 func TestLaneValidationErrors(t *testing.T) {
 	builds := 0
-	lane := NewTrialLane(4, func() (Stepper, Stepper, error) {
+	lane := NewTrialLane(func() (Stepper, Stepper, error) {
 		builds++
 		return &walkStepper{}, &walkStepper{}, nil
 	})

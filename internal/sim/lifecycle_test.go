@@ -99,55 +99,36 @@ func endlessMover(e *Env) {
 
 // TestProgramAdaptersDoNotLeakOnEarlyTrialEnd is the leak gate of the
 // stepper lifecycle: a batch whose every trial times out mid-program
-// must leave no adapter goroutines (channel path) or live iter.Pull
-// coroutines (pull path) behind. Both count as goroutines once
-// started, so gort.NumGoroutine is the measurement for both.
+// must leave no live iter.Pull coroutines behind. A started coroutine
+// counts as a goroutine, so gort.NumGoroutine is the measurement.
 func TestProgramAdaptersDoNotLeakOnEarlyTrialEnd(t *testing.T) {
 	g, err := graph.Complete(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Graph: g, StartA: 0, StartB: 1, MaxRounds: 16, DisableMeeting: true}
-
-	paths := []struct {
-		name string
-		run  func(seed uint64) (*Result, error)
-	}{
-		{"goroutine adapter", func(seed uint64) (*Result, error) {
-			c := cfg
-			c.Seed = seed
-			return Run(c, endlessMover, endlessMover)
-		}},
-		{"coroutine adapter", func(seed uint64) (*Result, error) {
-			c := cfg
-			c.Seed = seed
-			return RunSteppers(c, NewProgramStepper(endlessMover), NewProgramStepper(endlessMover))
-		}},
+	before := gort.NumGoroutine()
+	for seed := uint64(1); seed <= 64; seed++ {
+		c := cfg
+		c.Seed = seed
+		res, err := RunSteppers(c, NewProgramStepper(endlessMover), NewProgramStepper(endlessMover))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Met || res.Rounds != cfg.MaxRounds {
+			t.Fatalf("seed %d: trial did not time out as designed: %+v", seed, res)
+		}
 	}
-	for _, p := range paths {
-		before := gort.NumGoroutine()
-		for seed := uint64(1); seed <= 64; seed++ {
-			res, err := p.run(seed)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", p.name, seed, err)
-			}
-			if res.Met || res.Rounds != cfg.MaxRounds {
-				t.Fatalf("%s seed %d: trial did not time out as designed: %+v", p.name, seed, res)
-			}
+	// Teardown is synchronous (the coroutine unwinds inline), but give
+	// the scheduler a grace window before declaring a leak.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		gort.GC()
+		if after := gort.NumGoroutine(); after <= before {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the batch, %d after — program coroutines leaked", before, after)
 		}
-		// Teardown is synchronous (Finish blocks on the goroutine's
-		// exit; the coroutine unwinds inline), but give the scheduler a
-		// grace window before declaring a leak.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			gort.GC()
-			if after := gort.NumGoroutine(); after <= before {
-				break
-			} else if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines before the batch, %d after — adapter executions leaked",
-					p.name, before, after)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -1,15 +1,15 @@
 package sim
 
-import "iter"
+import (
+	"fmt"
+	"iter"
+)
 
-// NewProgramStepper adapts a direct-style Program into a Stepper
-// without giving up the stepper fast path: the program runs on a
-// lightweight coroutine (iter.Pull), so the per-acting-round handoff
-// between the lockstep loop and the program is a direct context
-// switch instead of the two unbuffered-channel operations (plus
-// scheduler wakeups) the goroutine path pays. Observable behavior —
-// actions, RNG draws, round accounting, panic and Halt handling — is
-// identical to running the same Program under Run.
+// NewProgramStepper adapts a direct-style Program into a Stepper: the
+// program runs on a lightweight coroutine (iter.Pull), so the
+// per-acting-round handoff between the lockstep loop and the program
+// is a direct context switch. It is the one host every Program runs
+// on — Run wraps each of its programs in one.
 //
 // This is how a strategy registered with Programs alone runs in
 // batches; strategies wanting the last word in trial throughput
@@ -22,12 +22,10 @@ func NewProgramStepper(prog Program) Stepper {
 }
 
 // pullProgramStepper hosts a Program on a coroutine. Control moves
-// program-ward on next() (inside Next) and runtime-ward on yield
-// (inside Env.step), so exactly one of the two is ever running — the
-// same lockstep contract as the channel adapter, minus the scheduler.
+// program-ward on next() (inside Next) and runtime-ward on yieldFn
+// (inside Env.step), so exactly one of the two is ever running.
 type pullProgramStepper struct {
 	prog    Program
-	env     *Env
 	cur     *View // the runtime's view for the acting round being processed
 	next    func() (Action, bool)
 	stopFn  func()
@@ -36,23 +34,19 @@ type pullProgramStepper struct {
 }
 
 func (ps *pullProgramStepper) Init(ctx *StepContext) {
-	ps.env = &Env{
+	env := &Env{
 		name:    ctx.Name,
 		nPrime:  ctx.NPrime,
 		kt1:     ctx.NeighborIDs,
 		boards:  ctx.Whiteboards,
 		rng:     ctx.Rand,
 		scratch: ctx.Scratch,
-		pull:    ps,
+		host:    ps,
 	}
 	seq := func(yield func(Action) bool) {
 		ps.yieldFn = yield
-		defer func() {
-			// A Finish()-driven unwind (stopSignal) also lands here;
-			// its final action is never consumed.
-			ps.final, _ = exitAction(recover())
-		}()
-		ps.prog(ps.env)
+		defer func() { ps.final = exitAction(recover()) }()
+		ps.prog(env)
 	}
 	ps.next, ps.stopFn = iter.Pull(iter.Seq[Action](seq))
 }
@@ -68,15 +62,26 @@ func (ps *pullProgramStepper) Next(v *View) Action {
 	return act
 }
 
-// yield hands act to the runtime and suspends the program until its
-// next acting round; it reports false when the run is shutting down.
-func (ps *pullProgramStepper) yield(act Action) bool { return ps.yieldFn(act) }
-
 // Finish unwinds the coroutine if the program is still live
 // (idempotent, safe before Init) — the Finisher hook the runtime
 // calls on every exit path.
 func (ps *pullProgramStepper) Finish() {
 	if ps.stopFn != nil {
 		ps.stopFn()
+	}
+}
+
+// exitAction maps a program's exit cause (the value recovered at its
+// top frame) to the final action reported to the runtime. A
+// Finish-driven unwind (stopSignal) maps to the zero Action, which is
+// never consumed.
+func exitAction(r any) Action {
+	switch r {
+	case nil, haltSignal:
+		return Action{kind: actHalt}
+	case stopSignal:
+		return Action{}
+	default:
+		return Action{kind: actPanic, err: fmt.Errorf("program panic: %v", r)}
 	}
 }

@@ -300,29 +300,27 @@ func TestTeamLaneMatchesSoloRuns(t *testing.T) {
 		cp.Agents = append([]AgentStats(nil), res.Agents...)
 		want[i] = &cp
 	}
-	for _, width := range []int{1, 4} {
-		lane := NewTeamLane(width, build)
-		defer lane.Close()
-		got := make([]*Result, trials)
-		mark := lane.Run(cfg,
-			func(i int) uint64 { return uint64(i + 1) },
-			0, trials,
-			func(i int, res *Result, trialErr error) {
-				if trialErr != nil {
-					t.Errorf("trial %d: %v", i, trialErr)
-					return
-				}
-				cp := *res
-				cp.Agents = append([]AgentStats(nil), res.Agents...)
-				got[i] = &cp
-			})
-		if mark != trials {
-			t.Fatalf("lane watermark = %d, want %d", mark, trials)
-		}
-		for i := range got {
-			if !resultsEqual(got[i], want[i]) {
-				t.Errorf("width %d trial %d: lane diverged:\nlane: %+v\nsolo: %+v", width, i, got[i], want[i])
+	lane := NewTeamLane(build)
+	defer lane.Close()
+	got := make([]*Result, trials)
+	mark := lane.Run(cfg,
+		func(i int) uint64 { return uint64(i + 1) },
+		0, trials,
+		func(i int, res *Result, trialErr error) {
+			if trialErr != nil {
+				t.Errorf("trial %d: %v", i, trialErr)
+				return
 			}
+			cp := *res
+			cp.Agents = append([]AgentStats(nil), res.Agents...)
+			got[i] = &cp
+		})
+	if mark != trials {
+		t.Fatalf("lane watermark = %d, want %d", mark, trials)
+	}
+	for i := range got {
+		if !resultsEqual(got[i], want[i]) {
+			t.Errorf("trial %d: lane diverged:\nlane: %+v\nsolo: %+v", i, got[i], want[i])
 		}
 	}
 }

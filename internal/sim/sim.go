@@ -11,14 +11,12 @@
 //
 // Agents come in two styles sharing one lockstep loop:
 //
-//   - Program: ordinary Go functions against an Env handle. Run drives
-//     each program on its own goroutine with a channel handoff per
-//     acting round (the classic path); NewProgramStepper instead hosts
-//     the same function on a lightweight coroutine for the fast path.
+//   - Program: ordinary Go functions against an Env handle, each
+//     hosted on a lightweight coroutine by NewProgramStepper. Run is
+//     the Program-pair entry point.
 //   - Stepper: explicit state machines (Next(view) action) that the
-//     runtime steps inline — no goroutines, no channels, and with
-//     per-trial scratch reuse via TrialContext. This is the hot path
-//     for batch trials.
+//     runtime steps inline, with per-trial scratch reuse via
+//     TrialContext. This is the hot path for batch trials.
 //
 // Multi-round waits are fast-forwarded when neither agent needs to
 // act, so wait-heavy algorithms (such as the paper's no-whiteboard
@@ -133,7 +131,7 @@ type Result struct {
 	// Agents holds every agent's statistics (including agents 0 and
 	// 1) when the run had more than two agents; nil on two-agent
 	// runs. Like the Result itself on the lane path, the slice is a
-	// reusable per-slot buffer — copy what must be retained.
+	// reusable per-lane buffer — copy what must be retained.
 	Agents []AgentStats
 	// Writes counts committed whiteboard writes (all agents).
 	Writes int64
@@ -171,16 +169,15 @@ func DefaultMaxRounds(g *graph.Graph) int64 {
 // Run executes the two programs on cfg's graph until rendezvous, both
 // agents halting, or the round budget expiring. It returns an error for
 // invalid configurations or if a program panics. Each program runs on
-// its own goroutine with a channel handoff per acting round; batch
-// callers should prefer the stepper path (RunSteppers with steppers or
-// NewProgramStepper adapters), which steps agents inline.
+// its own NewProgramStepper coroutine over a fresh TrialContext; batch
+// callers should hold a TrialContext or a TrialLane instead.
 func Run(cfg Config, progA, progB Program) (*Result, error) {
 	var sa, sb Stepper
 	if progA != nil {
-		sa = newChanProgramStepper(progA)
+		sa = NewProgramStepper(progA)
 	}
 	if progB != nil {
-		sb = newChanProgramStepper(progB)
+		sb = NewProgramStepper(progB)
 	}
 	return runTeam(cfg, NewTrialContext(), []Stepper{sa, sb})
 }
@@ -190,7 +187,7 @@ func Run(cfg Config, progA, progB Program) (*Result, error) {
 func runTeam(cfg Config, tc *TrialContext, team []Stepper) (*Result, error) {
 	// Lifecycle guarantee first, before any validation return: every
 	// stepper handed to a run gets its Finish hook on every exit path,
-	// so adapter goroutines/coroutines never outlive the run (or touch
+	// so program coroutines never outlive the run (or touch
 	// tc's buffers after they are handed to the next trial). See
 	// Finisher. Finish order is reverse team order, matching the
 	// stacked defers of the historical two-agent path.
@@ -342,8 +339,8 @@ func (rt *runtime) run() (*Result, error) {
 // checks, then at most one acting round (or one fast-forwarded block
 // of waiting rounds) — and reports whether the run ended, filling out
 // with the final result when it did. Factored out of run so the lane
-// scheduler (TrialLane) can interleave many resident trials one tick
-// at a time with semantics identical to a solo run.
+// scheduler (TrialLane) can drive a resident trial with its own panic
+// isolation and semantics identical to a solo run.
 func (rt *runtime) tick(out *Result) (done bool, err error) {
 	// Meeting check at the beginning of the round.
 	if !rt.noMeeting && rt.round >= rt.meetFrom {
@@ -537,8 +534,8 @@ func (rt *runtime) observe(skipped int64) {
 
 // fill overwrites out with the run's final statistics (the caller
 // sets the Met fields when the run ended in a rendezvous). Writing
-// into a caller-provided box lets the lane path reuse one Result per
-// slot instead of allocating one per trial; on k>2 runs the box's
+// into a caller-provided box lets the lane reuse one Result across
+// trials instead of allocating one per trial; on k>2 runs the box's
 // Agents slice is reused the same way.
 func (rt *runtime) fill(out *Result) {
 	a, b := &rt.agents[0], &rt.agents[1]

@@ -9,9 +9,8 @@ import (
 // Stepper is an agent algorithm in state-machine style: the lockstep
 // runtime calls Next once per acting round with the agent's current
 // observation and receives the action to perform. Steppers run inline
-// on the runtime's goroutine — no goroutines, no channel handoffs —
-// which makes them the fast path for batch trials (see
-// TrialContext.RunSteppers and the engine's automatic path selection).
+// on the runtime's goroutine, which makes them the fast path for batch
+// trials (see TrialContext.RunSteppers and TrialLane).
 //
 // A Stepper is built fresh for every run and may keep arbitrary state
 // between Next calls. Init is called exactly once, before round 0,
@@ -20,8 +19,7 @@ import (
 // is still elapsing.
 //
 // Direct-style Programs remain fully supported: NewProgramStepper
-// adapts any Program into a Stepper via a lightweight coroutine, and
-// Run drives Programs through the classic goroutine-backed adapter.
+// adapts any Program into a Stepper via a lightweight coroutine.
 type Stepper interface {
 	// Init receives the run-constant context before round 0. The
 	// context's fields (including ctx.Rand) are only valid for this
@@ -52,7 +50,8 @@ type StepContext struct {
 	// false.
 	Whiteboards bool
 	// Rand is the agent's private deterministic random stream, seeded
-	// from (Config.Seed, agent name) exactly as on the Program path.
+	// from (Config.Seed, agent name); a Program sees the same stream
+	// through Env.Rand.
 	Rand *rand.Rand
 	// Scratch is this agent's reusable scratch slot on the trial
 	// context driving the run, or nil when the runtime offers no reuse
@@ -207,15 +206,15 @@ type Reusable interface {
 }
 
 // Finisher is the optional stepper-lifecycle extension: a Stepper
-// that owns execution resources (a goroutine, a coroutine, an open
-// handle) implements Finish to release them. The runtime guarantees
+// that owns execution resources (a coroutine, an open handle)
+// implements Finish to release them. The runtime guarantees
 // Finish is called exactly once per RunSteppers/Run invocation, on
 // every exit path — normal completion, MaxRounds exhaustion, the peer
 // halting, an abort, and even configuration-validation failure before
 // round 0. Finish must be idempotent and safe to call before Init.
-// The Program adapters implement it to tear down their goroutine and
-// iter.Pull coroutine; native steppers normally have nothing to
-// release and simply don't implement it.
+// The Program host implements it to unwind its iter.Pull coroutine;
+// native steppers normally have nothing to release and simply don't
+// implement it.
 type Finisher interface{ Finish() }
 
 // Finish releases s's execution resources if it implements Finisher —
@@ -306,7 +305,7 @@ func (tc *TrialContext) randFor(i int, seed, stream uint64) *rand.Rand {
 
 // RunSteppers executes two stepper agents on cfg's graph until
 // rendezvous, both agents halting, or the round budget expiring —
-// the goroutine-free counterpart of Run, reusing tc's scratch. It
+// the stepper counterpart of Run, reusing tc's scratch. It
 // returns an error for invalid configurations or if a stepper aborts.
 func (tc *TrialContext) RunSteppers(cfg Config, a, b Stepper) (*Result, error) {
 	tc.teamBuf = append(tc.teamBuf[:0], a, b)

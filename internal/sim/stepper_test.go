@@ -137,88 +137,133 @@ func (s *colocatedWriter) Next(v *View) Action {
 	}
 }
 
-// The coroutine adapter must be observationally identical to the
-// goroutine adapter for the same program, across normal runs, early
-// halts, and panics.
-func TestProgramStepperMatchesGoroutinePath(t *testing.T) {
-	g := mustComplete(t, 12)
-	cfg := Config{Graph: g, StartA: 0, StartB: 7, Seed: 42, MaxRounds: 100000}
-	viaChan, err := Run(cfg, randomWalk, randomWalk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaPull, err := RunSteppers(cfg, NewProgramStepper(randomWalk), NewProgramStepper(randomWalk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(viaChan, viaPull) {
-		t.Fatalf("paths diverge: %+v vs %+v", viaChan, viaPull)
-	}
+// haltAfterStays is the stepper twin of a program that stays n rounds
+// and then returns: it halts on its first acting round after the stays.
+type haltAfterStays struct{ n int }
 
-	// Program panic surfaces identically.
-	bomber := func(e *Env) { e.Stay(); panic("boom") }
-	_, errChan := Run(Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 10}, bomber, stayer)
-	_, errPull := RunSteppers(Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 10}, NewProgramStepper(bomber), NewProgramStepper(stayer))
-	if errChan == nil || errPull == nil {
-		t.Fatalf("panic lost: chan=%v pull=%v", errChan, errPull)
-	}
-	if !strings.Contains(errPull.Error(), "boom") || errChan.Error() != errPull.Error() {
-		t.Fatalf("panic errors differ: %q vs %q", errChan, errPull)
-	}
+func (s *haltAfterStays) Init(*StepContext) {}
 
-	// Early return / Halt land on the same round.
-	quitter := func(e *Env) { e.Stay(); e.Stay() }
-	rc, err := Run(Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 100}, quitter, quitter)
-	if err != nil {
-		t.Fatal(err)
+func (s *haltAfterStays) Next(*View) Action {
+	if s.n == 0 {
+		return Halt()
 	}
-	rp, err := RunSteppers(Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 100}, NewProgramStepper(quitter), NewProgramStepper(quitter))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(rc, rp) {
-		t.Fatalf("halt timing diverges: %+v vs %+v", rc, rp)
+	s.n--
+	return Stay()
+}
+
+// chaoticProgram draws a random action every acting round: stays,
+// multi-round waits, moves and whiteboard writes.
+func chaoticProgram(e *Env) {
+	r := e.Rand()
+	for {
+		switch r.IntN(5) {
+		case 0:
+			e.Stay()
+		case 1:
+			e.StayFor(1 + int64(r.IntN(5)))
+		case 2, 3:
+			if err := e.MoveToPort(r.IntN(e.Degree())); err != nil {
+				panic(err)
+			}
+		case 4:
+			if err := e.WriteWhiteboard(int64(r.IntN(50))); err != nil {
+				panic(err)
+			}
+			e.Stay()
+		}
 	}
 }
 
-// Property: arbitrary seeds agree between the two Program transports,
-// including whiteboard traffic.
+// chaoticStepper is chaoticProgram's stepper twin: the same actions
+// from the same draws, in the same order.
+type chaoticStepper struct{ ctx *StepContext }
+
+func (s *chaoticStepper) Init(ctx *StepContext) { s.ctx = ctx }
+
+func (s *chaoticStepper) Next(v *View) Action {
+	r := s.ctx.Rand
+	switch r.IntN(5) {
+	case 0:
+		return Stay()
+	case 1:
+		return StayFor(1 + int64(r.IntN(5)))
+	case 2, 3:
+		return Move(r.IntN(v.Degree))
+	default:
+		return Stay().WithWrite(int64(r.IntN(50)))
+	}
+}
+
+// A Program on its coroutine host must be observationally identical to
+// its native stepper twin: same results on normal runs, the same
+// halting round, and a panic surfacing as the agent's error in the
+// round it happened.
+func TestProgramStepperMatchesNativeTwins(t *testing.T) {
+	g := mustComplete(t, 12)
+	cfg := Config{Graph: g, StartA: 0, StartB: 7, Seed: 42, MaxRounds: 100000}
+	viaProg, err := Run(cfg, randomWalk, stayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	native, err := RunSteppers(cfg, &walkStepper{}, stayStepper{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(viaProg, native) || !viaProg.Met {
+		t.Fatalf("program and native twin diverge: %+v vs %+v", viaProg, native)
+	}
+
+	// A program panic fails the run with the agent's error, in the
+	// round the program panicked: bomber stays through round 0 and
+	// panics on its round-1 action, so round 0 is the last observed.
+	bomber := func(e *Env) { e.Stay(); panic("boom") }
+	last := int64(-1)
+	_, err = Run(Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 10,
+		Observer: func(ev RoundEvent) { last = ev.Round }}, bomber, stayer)
+	if err == nil || err.Error() != "sim: agent a: program panic: boom" {
+		t.Fatalf("panic error = %v, want %q", err, "sim: agent a: program panic: boom")
+	}
+	if last != 0 {
+		t.Fatalf("panic surfaced after round %d was observed, want round 0", last)
+	}
+
+	// Returning and calling Halt land on the twin's halting round.
+	quitter := func(e *Env) { e.Stay(); e.Stay() }
+	halter := func(e *Env) { e.Stay(); e.Halt() }
+	small := Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 100}
+	rp, err := Run(small, quitter, halter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn, err := RunSteppers(small, &haltAfterStays{n: 2}, &haltAfterStays{n: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(rp, rn) {
+		t.Fatalf("halt timing diverges: %+v vs %+v", rp, rn)
+	}
+	want := AgentStats{Stays: 2, Halted: true}
+	if rp.Rounds != 3 || rp.A != want || rp.B != (AgentStats{Stays: 1, Halted: true}) {
+		t.Fatalf("halting run = %+v, want 3 rounds with a staying 2 and b staying 1, both halted", rp)
+	}
+}
+
+// Property: arbitrary seeds agree between a coroutine-hosted chaotic
+// program and its native twin, whiteboard traffic included.
 func TestProgramStepperEquivalenceProperty(t *testing.T) {
 	g := mustComplete(t, 9)
-	mkChaotic := func() Program {
-		return func(e *Env) {
-			r := e.Rand()
-			for {
-				switch r.IntN(5) {
-				case 0:
-					e.Stay()
-				case 1:
-					e.StayFor(1 + int64(r.IntN(5)))
-				case 2, 3:
-					if err := e.MoveToPort(r.IntN(e.Degree())); err != nil {
-						panic(err)
-					}
-				case 4:
-					if err := e.WriteWhiteboard(int64(r.IntN(50))); err != nil {
-						panic(err)
-					}
-					e.Stay()
-				}
-			}
-		}
-	}
 	check := func(seed uint64) bool {
 		cfg := Config{
 			Graph: g, StartA: 3, StartB: 6,
 			NeighborIDs: true, Whiteboards: true,
 			Seed: seed, MaxRounds: 300, DisableMeeting: true,
 		}
-		rc, err1 := Run(cfg, mkChaotic(), mkChaotic())
-		rp, err2 := RunSteppers(cfg, NewProgramStepper(mkChaotic()), NewProgramStepper(mkChaotic()))
+		rp, err1 := Run(cfg, chaoticProgram, chaoticProgram)
+		rn, err2 := RunSteppers(cfg, &chaoticStepper{}, &chaoticStepper{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return resultsEqual(rc, rp)
+		return resultsEqual(rp, rn)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
