@@ -1,14 +1,14 @@
 // Command graphgen generates, inspects, and serializes the graph
 // families used by the reproduction.
 //
-// The default -format binary picks the narrowest binary version that
-// can carry the graph: v2 normally, the chunked v3 once the arc count
-// exceeds v2's int32 capacity. -format binary3 forces v3. Large
+// The default -format binary writes the chunked v3 format, which
+// carries any arc count and reads back at least as fast as v2 (binary3
+// is an alias kept for existing scripts); v2 files still read. Large
 // planted generations (-n 2¹⁸ and up) report progress on stderr.
 //
 // Usage:
 //
-//	graphgen -type planted -n 1024 -d 181 -o g.fnr   # generate + save (binary v2)
+//	graphgen -type planted -n 1024 -d 181 -o g.fnr   # generate + save (binary v3)
 //	graphgen -type planted -o g.txt -format text      # v1 text (golden files)
 //	graphgen -type twostars -n 514 -stats             # properties only
 //	graphgen -in g.fnr -stats                         # inspect a file (any format)
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"math/rand/v2"
 	"os"
 
@@ -37,7 +36,7 @@ func main() {
 		p      = flag.Float64("p", 0.1, "edge probability (gnp)")
 		seed   = flag.Uint64("seed", 1, "generator seed")
 		out    = flag.String("o", "", "write the graph to this file")
-		format = flag.String("format", "binary", "output format: binary (v2, or v3 when the graph exceeds v2 capacity), binary3 (force v3), or text (v1); reading auto-detects")
+		format = flag.String("format", "binary", "output format: binary (v3; binary3 is an alias) or text (v1); reading auto-detects every format")
 		in     = flag.String("in", "", "read a graph from this file instead of generating (either format)")
 		stats  = flag.Bool("stats", false, "print structural properties")
 		idMode = flag.String("ids", "tight", "ID assignment: tight|permuted|sparse")
@@ -72,17 +71,9 @@ func main() {
 		}
 	}
 	if *out != "" {
-		write, label := (*fnr.Graph).WriteBinary, "binary v2"
+		write, label := (*fnr.Graph).WriteBinaryV3, "binary v3"
 		switch *format {
-		case "binary":
-			// v2 is the compact default, but its counts are int32; once
-			// the arc count would overflow them, only the chunked v3
-			// format can carry the graph.
-			if arcs := 2 * int64(g.M()); arcs > math.MaxInt32 {
-				write, label = (*fnr.Graph).WriteBinaryV3, "binary v3"
-			}
-		case "binary3":
-			write, label = (*fnr.Graph).WriteBinaryV3, "binary v3"
+		case "binary", "binary3":
 		case "text":
 			write, label = (*fnr.Graph).WriteTo, "text"
 		default:

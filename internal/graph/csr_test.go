@@ -181,6 +181,19 @@ func allFamilies(t *testing.T) map[string]*Graph {
 	}
 	g, err = b.Build()
 	add("gnp sparse", g, err)
+	// Multi-byte varints in every arc section: vertex 0 is adjacent to
+	// all others (ports past 127) and v to v+200 (gaps past 127), with
+	// the ports shuffled.
+	b = NewBuilder(400)
+	for v := 1; v < 400; v++ {
+		b.MustAddEdge(0, Vertex(v))
+	}
+	for v := 1; v < 200; v++ {
+		b.MustAddEdge(Vertex(v), Vertex(v+200))
+	}
+	b.ShufflePorts(rng)
+	g, err = b.Build()
+	add("wide gaps", g, err)
 	return out
 }
 
@@ -253,6 +266,20 @@ func TestCSRSemanticsAcrossFamilies(t *testing.T) {
 				}
 				if g.PortOfID(v, g.NPrime()+5) != -1 {
 					t.Fatalf("PortOfID(%d, out-of-space) != -1", v)
+				}
+				// IDs past the index range must miss even where their
+				// low 32 bits name a neighbor.
+				if g.Degree(v) > 0 {
+					for _, id := range []int64{-1, 1<<32 + g.ID(g.Neighbor(v, 0))} {
+						if g.PortOfID(v, id) != -1 {
+							t.Fatalf("PortOfID(%d, %d) != -1", v, id)
+						}
+					}
+				}
+				for u := Vertex(0); int(u) < n; u++ {
+					if (g.PortOfID(v, g.ID(u)) >= 0) != g.HasEdge(v, u) {
+						t.Fatalf("PortOfID(%d, ID of %d) disagrees with HasEdge", v, u)
+					}
 				}
 			}
 		})

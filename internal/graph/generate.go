@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 )
 
 // This file holds the graph families used across the experiments.
@@ -202,64 +204,97 @@ func GNPExact(n int, p float64, rng *rand.Rand) (*Graph, error) {
 	return b.Build()
 }
 
+// aliveBlockBits sets aliveList's block width: 256 vertices, so a
+// member is one byte above its block's base vertex.
+const aliveBlockBits = 8
+
 // aliveList is an order-statistics structure over the fixed vertex
-// range [0, n): a Fenwick tree of 0/1 weights supporting "remove
-// vertex" and "select the k-th alive vertex in index order", both in
-// O(log n). PlantedMinDegree uses it to reproduce the draw semantics
-// of the original compact-then-index deficit list (uniform selection
-// over the surviving vertices in index order) without the O(n) rescan
-// per added edge that made large-n generation quadratic.
+// range [0, n): "remove vertex" and "select the k-th alive vertex in
+// index order". PlantedMinDegree uses it to reproduce the draw
+// semantics of the original compact-then-index deficit list (uniform
+// selection over the surviving vertices in index order) without the
+// O(n) rescan per added edge that made large-n generation quadratic.
 //
-// The tree is padded to a power-of-two range so the kth descent needs
-// no bounds test; the padding slots stand for vertices that are never
-// alive.
+// The range is cut into fixed 256-vertex blocks. Each block keeps its
+// alive vertices as an ascending compact list of one-byte offsets, and
+// a Fenwick tree sums the block sizes. kth descends the tree over
+// n/256 blocks (3 levels at n = 2048, where a per-vertex tree took
+// 11) and then reads one list entry; remove deletes from one list, a
+// move of at most 255 bytes, and updates the block tree. The tree is
+// padded to a power-of-two block count so the descent needs no bounds
+// test; padding blocks are always empty.
 type aliveList struct {
-	tree  []int32 // 1-based Fenwick partial sums over a power-of-two range
-	alive []bool
-	count int
+	tree    []int32 // 1-based Fenwick partial sums of the block sizes
+	size    []int32 // alive vertices per block
+	members []uint8 // block b's alive offsets, ascending, at [b<<aliveBlockBits, +size[b])
+	count   int
 }
 
 func newAliveList(n int) *aliveList {
-	return &aliveList{tree: make([]int32, 1<<bits.Len(uint(n-1))+1), alive: make([]bool, n)}
+	blocks := (n + 1<<aliveBlockBits - 1) >> aliveBlockBits
+	return &aliveList{
+		tree:    make([]int32, 1<<bits.Len(uint(blocks-1))+1),
+		size:    make([]int32, blocks),
+		members: make([]uint8, blocks<<aliveBlockBits),
+	}
+}
+
+// block returns v's block index and the block's current member list.
+func (a *aliveList) block(v Vertex) (int, []uint8) {
+	b := int(v) >> aliveBlockBits
+	base := b << aliveBlockBits
+	return b, a.members[base : base+int(a.size[b])]
+}
+
+// addBlock adds delta to block b's size and to the tree over it.
+func (a *aliveList) addBlock(b int, delta int32) {
+	a.size[b] += delta
+	a.count += int(delta)
+	for i := b + 1; i < len(a.tree); i += i & (-i) {
+		a.tree[i] += delta
+	}
 }
 
 func (a *aliveList) insert(v Vertex) {
-	if a.alive[v] {
+	b, list := a.block(v)
+	i, ok := slices.BinarySearch(list, uint8(v))
+	if ok {
 		return
 	}
-	a.alive[v] = true
-	a.count++
-	for i := int(v) + 1; i < len(a.tree); i += i & (-i) {
-		a.tree[i]++
-	}
+	list = list[:len(list)+1]
+	copy(list[i+1:], list[i:])
+	list[i] = uint8(v)
+	a.addBlock(b, 1)
 }
 
 func (a *aliveList) remove(v Vertex) {
-	if !a.alive[v] {
+	b, list := a.block(v)
+	i := bytes.IndexByte(list, uint8(v))
+	if i < 0 {
 		return
 	}
-	a.alive[v] = false
-	a.count--
-	for i := int(v) + 1; i < len(a.tree); i += i & (-i) {
-		a.tree[i]--
-	}
+	copy(list[i:], list[i+1:])
+	a.addBlock(b, -1)
 }
 
 // kth returns the (k+1)-th alive vertex in index order, k in
-// [0, count). The descent is branchless: whether a node's count c is
-// below the remaining rank is the sign of c - rem, turned into an
+// [0, count). The block descent is branchless: whether a node's count
+// c is below the remaining rank is the sign of c - rem, turned into an
 // all-ones or all-zeros mask (the comparison is data-dependent and
 // mispredicts about half the time as a branch).
 func (a *aliveList) kth(k int) Vertex {
-	pos := 0
+	b := 0
 	rem := int32(k) + 1
 	for step := len(a.tree) >> 1; step > 0; step >>= 1 {
-		c := a.tree[pos+step]
+		c := a.tree[b+step]
 		take := (c - rem) >> 31 // -1 when c < rem, else 0
 		rem -= c & take
-		pos += step & int(take)
+		b += step & int(take)
 	}
-	return Vertex(pos) // tree is 1-based: slot pos+1 -> vertex pos
+	// The tree is 1-based, so the descent stops on block b with rank
+	// rem in [1, size[b]].
+	base := b << aliveBlockBits
+	return Vertex(base + int(a.members[base+int(rem)-1]))
 }
 
 // plantedFallbackDraws bounds PlantedMinDegree's uniform rejection
@@ -281,10 +316,13 @@ const plantedFallbackDraws = 64
 // The RNG draw sequence is byte-identical to the seed implementation
 // on non-degenerate inputs: the Hamiltonian prefix consumes exactly
 // the rng.Perm(n) draws (its edges are bulk-filled by AddCycle, which
-// draws nothing), and the deficit list is maintained as a Fenwick
-// order-statistics structure whose selection semantics match the
-// original per-iteration compaction exactly, at O(log n) instead of
-// O(n) per added edge. Each drawn partner is tested with exactly one
+// draws nothing), and the deficit list is an aliveList: 256-vertex
+// blocks of ascending compact member lists under a Fenwick tree of
+// block sizes. Its selection semantics match the original
+// per-iteration compaction exactly (the k-th surviving vertex in index
+// order), at O(log(n/256)) per draw and an in-block delete per
+// removal instead of an O(n) rescan per added edge. Each drawn partner
+// is tested with exactly one
 // Builder.HasEdge and the accepted edge is added unchecked, so an
 // added edge costs one membership test, not three. When the degree
 // hint d+2 reaches the builder's bitset threshold max(64, n/64) (the

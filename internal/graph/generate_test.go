@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -178,5 +179,53 @@ func TestGNPProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAliveListMatchesSortedSlice drives the blocked aliveList and a
+// brute-force ascending slice through one random sequence of inserts,
+// removes and kth queries, then drains both in random order, at sizes
+// on and around the 256-vertex block edges.
+func TestAliveListMatchesSortedSlice(t *testing.T) {
+	for _, n := range []int{1, 2, 255, 256, 257, 1000, 4099} {
+		rng := rand.New(rand.NewPCG(uint64(n), 17))
+		a := newAliveList(n)
+		var want []Vertex
+		check := func(step string) {
+			t.Helper()
+			if a.count != len(want) {
+				t.Fatalf("n=%d %s: count %d, want %d", n, step, a.count, len(want))
+			}
+			if len(want) == 0 {
+				return
+			}
+			for _, k := range []int{0, len(want) - 1, rng.IntN(len(want))} {
+				if got := a.kth(k); got != want[k] {
+					t.Fatalf("n=%d %s: kth(%d) = %d, want %d", n, step, k, got, want[k])
+				}
+			}
+		}
+		for step := 0; step < 10*n+100; step++ {
+			v := Vertex(rng.IntN(n))
+			i, ok := slices.BinarySearch(want, v)
+			if rng.IntN(2) == 0 {
+				a.insert(v)
+				if !ok {
+					want = slices.Insert(want, i, v)
+				}
+			} else {
+				a.remove(v)
+				if ok {
+					want = slices.Delete(want, i, i+1)
+				}
+			}
+			check("mixed")
+		}
+		for len(want) > 0 {
+			i := rng.IntN(len(want))
+			a.remove(want[i])
+			want = slices.Delete(want, i, i+1)
+			check("drain")
+		}
 	}
 }

@@ -23,11 +23,12 @@
 //
 // A Graph stores its adjacency structure in compressed sparse row
 // (CSR) form: a single offsets array of n+1 cursors into flat backing
-// arrays holding all 2m arcs contiguously. Five parallel per-arc
-// arrays share the one offsets table — the port-ordered neighbor
-// indices (Adj), the per-vertex ascending neighbor indices (HasEdge),
-// the port-ordered neighbor IDs (NeighborIDList), and the per-vertex
-// ID-sorted (ID, port) index (PortOfID). Adj and NeighborIDList
+// arrays holding all 2m arcs contiguously. Parallel per-arc arrays
+// share the one offsets table — the port-ordered neighbor indices
+// (Adj), the per-vertex ascending neighbor indices (HasEdge), the
+// port-ordered neighbor IDs (NeighborIDList), and the per-vertex
+// ID-sorted (ID, port) index (PortOfID), whose IDs are kept only when
+// they differ from the indices. Adj and NeighborIDList
 // therefore return zero-copy subslices of contiguous memory, per-round
 // accesses walk cache lines instead of chasing per-vertex slice
 // headers, and a 65k-vertex δ=√n graph is a handful of flat arrays
@@ -77,9 +78,12 @@ type Graph struct {
 	nbrIDs  []int64  // port order: nbrIDs[offsets[v]+p] = ID(nbrs[offsets[v]+p])
 	// Per-vertex ID->port index: idSorted holds v's neighbor IDs
 	// ascending, idPort the matching ports, so PortOfID is a binary
-	// search instead of an O(deg) scan.
+	// search instead of an O(deg) scan. Under identity naming the ID
+	// order is the index order, so idSorted would repeat sorted
+	// widened to int64: it stays nil and PortOfID searches sorted.
 	idSorted []int64
 	idPort   []int32
+	identity bool  // ids[v] = v for every vertex
 	nPrime   int64 // ID-space bound n' (all IDs are in [0, n'))
 	minDeg   int
 	maxDeg   int
@@ -106,7 +110,7 @@ func (g *Graph) Stamp() uint64 { return g.stamp }
 func (g *Graph) N() int { return len(g.ids) }
 
 // FootprintBytes reports the retained size of the graph's backing
-// arrays: the CSR offsets and five parallel per-arc arrays, the ID
+// arrays: the CSR offsets and the parallel per-arc arrays, the ID
 // table, and whichever ID→vertex index form this graph carries (dense
 // inverse or sorted pairs). It is the eviction weight for graph
 // caches and the baseline benchmark memory witnesses subtract.
@@ -224,11 +228,21 @@ func (g *Graph) NeighborIDList(v Vertex) []int64 {
 // the given ID, or -1 if v has no such neighbor. It runs in
 // O(log deg(v)).
 func (g *Graph) PortOfID(v Vertex, id int64) int {
-	s := g.idSorted[g.offsets[v]:g.offsets[v+1]]
-	if i, ok := slices.BinarySearch(s, id); ok {
-		return int(g.idPort[int(g.offsets[v])+i])
+	o, e := g.offsets[v], g.offsets[v+1]
+	var i int
+	var ok bool
+	if g.identity {
+		if id < 0 || id >= int64(len(g.ids)) {
+			return -1
+		}
+		i, ok = slices.BinarySearch(g.sorted[o:e], Vertex(id))
+	} else {
+		i, ok = slices.BinarySearch(g.idSorted[o:e], id)
 	}
-	return -1
+	if !ok {
+		return -1
+	}
+	return int(g.idPort[int(o)+i])
 }
 
 // Validate checks the structural invariants of the graph: symmetric
@@ -395,9 +409,9 @@ func (s idPortSorter) Swap(i, j int) {
 }
 
 // buildDerived computes every derived field of a graph whose ids,
-// offsets, nbrs and nPrime fields are populated: the ID index, degree
-// extremes and edge count, and the three remaining flat per-arc arrays
-// (sorted adjacency, neighbor IDs, ID->port index). Per-vertex
+// offsets, nbrs and nPrime fields are populated: the naming, the ID
+// index, degree extremes and edge count, and the remaining flat
+// per-arc arrays (sorted adjacency, neighbor IDs, ID->port index). Per-vertex
 // assembly — the sorts in particular — fans out over vertex blocks,
 // and the (ID, port) co-sort runs as a single flat uint64 sort per
 // vertex whenever the ID and port widths pack into one word (they do
@@ -408,19 +422,15 @@ func (s idPortSorter) Swap(i, j int) {
 func (g *Graph) buildDerived() {
 	n := len(g.ids)
 	arcs := len(g.nbrs)
-	g.stamp = nextStamp.Add(1)
-	g.buildIDIndex()
-	g.computeDegreeStats()
-
+	g.initIndexes()
 	g.nbrIDs = make([]int64, arcs)
-	g.idSorted = make([]int64, arcs)
 
 	// Tight identity naming (ids[v] = v, every generator's default)
 	// means ID order equals index order, so ONE packed sort per vertex
-	// on (neighbor index, port) keys yields sorted, idSorted and
-	// idPort together — measurably faster than an int32 sort plus a
-	// second co-sort, and far faster than the seed's interface-based
-	// sort.Sort. Under other labelings sorted gets its own int32 sort
+	// on (neighbor index, port) keys yields sorted and idPort together
+	// — measurably faster than an int32 sort plus a second co-sort,
+	// and far faster than the seed's interface-based sort.Sort. Under
+	// other labelings sorted gets its own int32 sort
 	// and the (ID, port) pairs co-sort as packed uint64 keys when the
 	// ID and port widths fit 63 bits together (they do for every graph
 	// the parsers accept), falling back to the interface sort for
@@ -430,14 +440,13 @@ func (g *Graph) buildDerived() {
 	// such graphs before anyone queries the index.
 	g.sorted = make([]Vertex, arcs)
 	g.idPort = make([]int32, arcs)
-	identity := g.identityIDs()
-	keys, portBits, portMask := g.idPortKeys(identity)
+	keys, portBits, portMask := g.idPortKeys(g.identity)
 
 	parallelBlocks(n, func(lo, hi Vertex) {
 		for v := lo; v < hi; v++ {
 			o, e := g.offsets[v], g.offsets[v+1]
 			idRun := g.nbrIDs[o:e]
-			if identity {
+			if g.identity {
 				// Keys are (index << portBits) | port: the index fits
 				// 32 bits (Vertex is int32) and portBits ≤ 31, so the
 				// key always fits. uint32 round-trips negative
@@ -453,9 +462,7 @@ func (g *Graph) buildDerived() {
 				}
 				slices.Sort(ks)
 				for i, k := range ks {
-					w := Vertex(int32(uint32(k >> portBits)))
-					g.sorted[int(o)+i] = w
-					g.idSorted[int(o)+i] = int64(w)
+					g.sorted[int(o)+i] = Vertex(int32(uint32(k >> portBits)))
 					g.idPort[int(o)+i] = int32(k & portMask)
 				}
 				continue
@@ -478,15 +485,25 @@ func (g *Graph) buildDerived() {
 	})
 }
 
-// identityIDs reports whether the graph uses the identity labeling
-// ids[v] = v.
-func (g *Graph) identityIDs() bool {
+// initIndexes starts either derivation: a fresh stamp, the naming
+// (recorded once here, read by the derivations, PortOfID and the
+// binary writers), the ID index and the degree statistics. A graph
+// that does not use identity naming gets its idSorted array here.
+func (g *Graph) initIndexes() {
+	g.stamp = nextStamp.Add(1)
+	g.identity = true
 	for v, id := range g.ids {
 		if id != int64(v) {
-			return false
+			g.identity = false
+			break
 		}
 	}
-	return true
+	g.idSorted = nil
+	if !g.identity {
+		g.idSorted = make([]int64, len(g.nbrs))
+	}
+	g.buildIDIndex()
+	g.computeDegreeStats()
 }
 
 // computeDegreeStats fills the degree extremes and edge count from the
@@ -656,16 +673,12 @@ func fromCSRSorted(ids []int64, offsets []int64, sorted []Vertex, ports []int32,
 func (g *Graph) buildDerivedPresorted(ports []int32) {
 	n := len(g.ids)
 	arcs := len(g.nbrs)
-	g.stamp = nextStamp.Add(1)
-	g.buildIDIndex()
-	g.computeDegreeStats()
+	g.initIndexes()
 	g.nbrIDs = make([]int64, arcs)
-	g.idSorted = make([]int64, arcs)
-	if g.identityIDs() {
+	if g.identity {
 		g.idPort = ports
 		parallelBlocks(n, func(lo, hi Vertex) {
 			for i := g.offsets[lo]; i < g.offsets[hi]; i++ {
-				g.idSorted[i] = int64(g.sorted[i])
 				g.nbrIDs[i] = int64(g.nbrs[i])
 			}
 		})

@@ -139,79 +139,138 @@ func (g *Graph) WriteBinary(w io.Writer) (int64, error) {
 	if len(g.nbrs) > math.MaxInt32 {
 		return 0, fmt.Errorf("graph: arc count %d exceeds v2 format capacity (max %d arcs; use WriteBinaryV3)", len(g.nbrs), math.MaxInt32)
 	}
-	cw := &countWriter{w: w}
-	crc := crc32.New(crcTable)
-	bw := bufio.NewWriterSize(io.MultiWriter(cw, crc), 1<<16)
-	var vbuf [binary.MaxVarintLen64]byte
-	var werr error
-	putU := func(x uint64) {
-		if werr == nil {
-			k := binary.PutUvarint(vbuf[:], x)
-			_, werr = bw.Write(vbuf[:k])
-		}
+	bw := newBinaryWriter(w, binMagic, v2FlushLen, false)
+	g.emitBinarySections(bw)
+	return bw.finish()
+}
+
+// v2FlushLen is how many payload bytes the v2 writer gathers per
+// write to the underlying writer.
+const v2FlushLen = 1 << 16
+
+// binaryWriter streams the v2 and v3 binary formats. The payload
+// sections append whole varints to buf, and the varint that brings buf
+// to chunk bytes or more flushes it: in v2 as plain payload bytes, in
+// v3 as one length-prefixed, CRC-trailed frame, so v3 frame boundaries
+// always fall between varints. crc digests every wire byte, which is
+// what both formats' trailers checksum. err is sticky.
+type binaryWriter struct {
+	w      io.Writer
+	crc    hash.Hash32
+	buf    []byte
+	chunk  int
+	framed bool // v3: every flush is one frame
+	n      int64
+	err    error
+}
+
+// newBinaryWriter starts a binary stream on w with the given magic.
+func newBinaryWriter(w io.Writer, magic [8]byte, chunk int, framed bool) *binaryWriter {
+	bw := &binaryWriter{
+		w:      w,
+		crc:    crc32.New(crcTable),
+		buf:    make([]byte, 0, chunk+binary.MaxVarintLen64),
+		chunk:  chunk,
+		framed: framed,
 	}
-	putI := func(x int64) {
-		if werr == nil {
-			k := binary.PutVarint(vbuf[:], x)
-			_, werr = bw.Write(vbuf[:k])
-		}
+	bw.write(magic[:])
+	return bw
+}
+
+// write sends raw wire bytes: counted and folded into the stream
+// digest.
+func (bw *binaryWriter) write(p []byte) {
+	if bw.err != nil {
+		return
 	}
-	if _, err := bw.Write(binMagic[:]); err != nil {
-		return cw.n, err
+	bw.crc.Write(p)
+	n, err := bw.w.Write(p)
+	bw.n += int64(n)
+	bw.err = err
+}
+
+// put returns the pending payload buf after a varint was appended to
+// it, flushed when that varint brought it to chunk bytes. The emitter
+// keeps the payload in a local slice and stores it back into bw.buf
+// only here on a flush and when it is done; storing a slice into the
+// heap on every varint costs a GC write barrier each time.
+func (bw *binaryWriter) put(buf []byte) []byte {
+	if len(buf) < bw.chunk {
+		return buf
 	}
-	g.emitBinarySections(putU, putI)
-	if werr != nil {
-		return cw.n, werr
+	bw.buf = buf
+	bw.flush()
+	return bw.buf
+}
+
+func (bw *binaryWriter) flush() {
+	if len(bw.buf) == 0 {
+		return
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
+	if bw.framed {
+		var hdr [binary.MaxVarintLen64]byte
+		bw.write(binary.AppendUvarint(hdr[:0], uint64(len(bw.buf))))
+		bw.write(bw.buf)
+		var fcrc [4]byte
+		bw.write(binary.LittleEndian.AppendUint32(fcrc[:0], crc32.Checksum(bw.buf, crcTable)))
+	} else {
+		bw.write(bw.buf)
 	}
-	// The trailer checksums everything before it, so it bypasses the
-	// MultiWriter and goes straight to the counted output.
+	bw.buf = bw.buf[:0]
+}
+
+// finish flushes the pending payload, writes v3's end marker, then the
+// CRC trailer (which checksums everything before itself, so it is not
+// folded into the digest), and reports the bytes written.
+func (bw *binaryWriter) finish() (int64, error) {
+	bw.flush()
+	if bw.framed {
+		bw.write([]byte{0})
+	}
+	if bw.err != nil {
+		return bw.n, bw.err
+	}
 	var tb [4]byte
-	binary.LittleEndian.PutUint32(tb[:], crc.Sum32())
-	if _, err := cw.Write(tb[:]); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	n, err := bw.w.Write(binary.LittleEndian.AppendUint32(tb[:0], bw.crc.Sum32()))
+	bw.n += int64(n)
+	return bw.n, err
 }
 
 // emitBinarySections writes the logical payload shared by the v2 and
-// v3 binary formats through the given varint sinks: the header (n, n',
-// arcs), the delta-coded ids, the degrees, then per vertex the
-// ascending-neighbor gaps and the sorted→port permutation. The sinks
-// own error handling (both writers use sticky-error closures).
-func (g *Graph) emitBinarySections(putU func(uint64), putI func(int64)) {
-	putU(uint64(g.N()))
-	putU(uint64(g.nPrime))
-	putU(uint64(len(g.nbrs)))
+// v3 binary formats: the header (n, n', arcs), the delta-coded ids,
+// the degrees, then per vertex the ascending-neighbor gaps and the
+// sorted→port permutation.
+func (g *Graph) emitBinarySections(bw *binaryWriter) {
+	buf := bw.buf
+	buf = bw.put(binary.AppendUvarint(buf, uint64(g.N())))
+	buf = bw.put(binary.AppendUvarint(buf, uint64(g.nPrime)))
+	buf = bw.put(binary.AppendUvarint(buf, uint64(len(g.nbrs))))
 	prev := int64(0)
 	for _, id := range g.ids {
-		putI(id - prev)
+		buf = bw.put(binary.AppendVarint(buf, id-prev))
 		prev = id
 	}
 	for v := Vertex(0); int(v) < g.N(); v++ {
-		putU(uint64(g.Degree(v)))
+		buf = bw.put(binary.AppendUvarint(buf, uint64(g.Degree(v))))
 	}
 	// ports[i] = the local port behind sorted-run entry i. Under
 	// identity naming that is exactly the graph's idPort run (ID order
 	// equals index order); otherwise recover it with rank lookups in
 	// the (cache-resident) sorted run.
-	identity := g.identityIDs()
 	var ports []int32
-	if !identity {
+	if !g.identity {
 		ports = make([]int32, g.maxDeg)
 	}
 	for v := Vertex(0); int(v) < g.N(); v++ {
 		o, e := g.offsets[v], g.offsets[v+1]
 		s := g.sortedAdj(v)
-		prev = 0
+		last := Vertex(0)
 		for _, u := range s {
-			putU(uint64(int64(u) - prev))
-			prev = int64(u)
+			buf = bw.put(binary.AppendUvarint(buf, uint64(u-last)))
+			last = u
 		}
 		run := g.idPort[o:e]
-		if !identity {
+		if !g.identity {
 			for p, w := range g.Adj(v) {
 				if i, ok := slices.BinarySearch(s, w); ok {
 					ports[i] = int32(p)
@@ -220,9 +279,10 @@ func (g *Graph) emitBinarySections(putU func(uint64), putI func(int64)) {
 			run = ports[:len(s)]
 		}
 		for _, p := range run {
-			putU(uint64(p))
+			buf = bw.put(binary.AppendUvarint(buf, uint64(p)))
 		}
 	}
+	bw.buf = buf
 }
 
 // The v3 chunked binary format lifts the two v2 scale walls — the
@@ -269,76 +329,6 @@ const V3MaxChunkLen = v3MaxChunkLen
 // anything wider is corrupt, not big.
 const v3MaxArcs = 1 << 56
 
-// chunkedWriter frames varints into the v3 wire format: whole varints
-// accumulate in buf, and whenever buf reaches the chunk target it is
-// flushed as one length-prefixed, CRC-trailed frame — so frame
-// boundaries always fall between varints.
-type chunkedWriter struct {
-	w     io.Writer
-	crc   hash.Hash32 // whole-stream digest of every wire byte
-	buf   []byte      // pending payload, whole varints only
-	chunk int
-	n     int64
-	err   error
-}
-
-// write sends raw wire bytes: counted and folded into the stream
-// digest.
-func (cw *chunkedWriter) write(p []byte) {
-	if cw.err != nil {
-		return
-	}
-	cw.crc.Write(p)
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	cw.err = err
-}
-
-func (cw *chunkedWriter) putU(x uint64) {
-	var vbuf [binary.MaxVarintLen64]byte
-	cw.buf = append(cw.buf, vbuf[:binary.PutUvarint(vbuf[:], x)]...)
-	if len(cw.buf) >= cw.chunk {
-		cw.flushFrame()
-	}
-}
-
-func (cw *chunkedWriter) putI(x int64) {
-	var vbuf [binary.MaxVarintLen64]byte
-	cw.buf = append(cw.buf, vbuf[:binary.PutVarint(vbuf[:], x)]...)
-	if len(cw.buf) >= cw.chunk {
-		cw.flushFrame()
-	}
-}
-
-func (cw *chunkedWriter) flushFrame() {
-	if cw.err != nil || len(cw.buf) == 0 {
-		return
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	cw.write(hdr[:binary.PutUvarint(hdr[:], uint64(len(cw.buf)))])
-	cw.write(cw.buf)
-	var fcrc [4]byte
-	binary.LittleEndian.PutUint32(fcrc[:], crc32.Checksum(cw.buf, crcTable))
-	cw.write(fcrc[:])
-	cw.buf = cw.buf[:0]
-}
-
-// finish flushes the last frame and writes the end marker plus the
-// whole-stream CRC trailer (which checksums everything before itself,
-// so it is not folded into the digest).
-func (cw *chunkedWriter) finish() {
-	cw.flushFrame()
-	cw.write([]byte{0})
-	if cw.err != nil {
-		return
-	}
-	var tb [4]byte
-	binary.LittleEndian.PutUint32(tb[:], cw.crc.Sum32())
-	n, err := cw.w.Write(tb[:])
-	cw.n += int64(n)
-	cw.err = err
-}
-
 // WriteBinaryV3 serializes g in the fnr binary v3 chunked format — the
 // same logical payload as v2 with 64-bit arc counts, framed so the
 // reader's transient memory is one chunk instead of the whole file.
@@ -356,24 +346,17 @@ func (g *Graph) writeBinaryV3(w io.Writer, chunk int) (int64, error) {
 	if chunk > v3MaxChunkLen {
 		return 0, fmt.Errorf("graph: v3 chunk %d exceeds the reader's frame cap %d", chunk, v3MaxChunkLen)
 	}
-	cw := &chunkedWriter{
-		w:     w,
-		crc:   crc32.New(crcTable),
-		chunk: chunk,
-		buf:   make([]byte, 0, chunk+binary.MaxVarintLen64),
-	}
-	cw.write(binMagicV3[:])
-	g.emitBinarySections(cw.putU, cw.putI)
-	cw.finish()
-	return cw.n, cw.err
+	bw := newBinaryWriter(w, binMagicV3, chunk, true)
+	g.emitBinarySections(bw)
+	return bw.finish()
 }
 
 // frameReader streams the v3 wire format one frame at a time: buf
 // holds the current frame's payload (verified against its CRC before
 // any byte is decoded), the stream digest accumulates incrementally,
 // and remain tracks the input bytes left when the source's size is
-// known (-1 otherwise). err is sticky, so decode loops read varints
-// unconditionally and check once per row.
+// known (-1 otherwise). err is sticky. A v2 payload, read whole and
+// checksummed up front, is one buffer with end already set.
 type frameReader struct {
 	r      io.Reader
 	crc    hash.Hash32
@@ -498,10 +481,13 @@ func (fr *frameReader) u64() uint64 {
 	}
 	x, k := binary.Uvarint(fr.buf[fr.pos:])
 	if k <= 0 {
-		if k == 0 {
-			fr.err = errSplitVarint
-		} else {
+		switch {
+		case k < 0:
 			fr.err = errors.New("payload varint overflows")
+		case fr.end:
+			fr.err = io.ErrUnexpectedEOF // the last buffer ends inside a varint
+		default:
+			fr.err = errSplitVarint
 		}
 		return 0
 	}
@@ -611,48 +597,152 @@ func readBinaryV3(br *bufio.Reader, sizeHint int64) (*Graph, error) {
 	if !sized {
 		arcCap = min(arcs, 1<<20)
 	}
-	sorted := make([]Vertex, 0, arcCap)
-	ports := make([]int32, 0, arcCap)
-	for v := 0; v < n; v++ {
-		o, e := offsets[v], offsets[v+1]
-		prev = -1
-		for i := o; i < e; i++ {
-			gap := fr.u64()
-			if fr.err != nil {
-				return nil, fmt.Errorf("graph: v3 arcs: %w", fr.err)
-			}
-			if gap >= uint64(n) {
-				return nil, fmt.Errorf("graph: vertex %d has out-of-range neighbor gap %d", v, gap)
-			}
-			if i > o && gap == 0 {
-				return nil, fmt.Errorf("graph: parallel edge %d-%d", v, prev)
-			}
-			next := prev + int64(gap)
-			if i == o {
-				next++ // first gap counts from 0, prev starts at -1
-			}
-			if next >= int64(n) {
-				return nil, fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, next)
-			}
-			sorted = append(sorted, Vertex(next))
-			prev = next
+	sorted, ports, err := fr.readArcs(n, offsets, make([]Vertex, 0, arcCap), make([]int32, 0, arcCap))
+	if err != nil {
+		if err == fr.err {
+			err = fmt.Errorf("graph: v3 arcs: %w", err)
 		}
-		deg := uint64(e - o)
-		for i := o; i < e; i++ {
-			p := fr.u64()
-			if fr.err != nil {
-				return nil, fmt.Errorf("graph: v3 arcs: %w", fr.err)
-			}
-			if p >= deg {
-				return nil, fmt.Errorf("graph: vertex %d has port %d outside [0,%d)", v, p, deg)
-			}
-			ports = append(ports, int32(p))
-		}
+		return nil, err
 	}
 	if err := fr.finish(); err != nil {
 		return nil, fmt.Errorf("graph: v3 payload: %w", err)
 	}
 	return fromCSRSorted(ids, offsets, sorted, ports, int64(nPrimeU))
+}
+
+// readArcs decodes the arc sections — per vertex v, deg(v) gaps of the
+// ascending neighbor run, then deg(v) ports — appending to sorted and
+// ports. A row that lies wholly inside the current buffer decodes in
+// one pass of decodeRow; only a row that runs past the buffer's end
+// (in v3, the at most one row per frame that straddles a frame
+// boundary) is re-read varint by varint through u64, which crosses
+// frames. Both paths apply the same checks in the same order, so a
+// malformed row fails with the same error wherever the frames split
+// it. A varint error is fr.err, returned unwrapped.
+//
+// The fast path grows the arrays by a row only when the buffer holds
+// the row's minimum two bytes per arc, so even without a size hint the
+// growth stays a small multiple of input already read.
+func (fr *frameReader) readArcs(n int, offsets []int64, sorted []Vertex, ports []int32) ([]Vertex, []int32, error) {
+	for v := 0; v < n; v++ {
+		o, e := offsets[v], offsets[v+1]
+		deg := int(e - o)
+		if 2*int64(deg) <= int64(len(fr.buf)-fr.pos) {
+			sorted, ports = slices.Grow(sorted, deg)[:e], slices.Grow(ports, deg)[:e]
+			k, err := decodeRow(fr.buf[fr.pos:], v, n, sorted[o:e], ports[o:e])
+			if err != nil {
+				return nil, nil, err
+			}
+			if k >= 0 {
+				fr.pos += k
+				continue
+			}
+			sorted, ports = sorted[:o], ports[:o]
+		}
+		prev := int64(-1)
+		for j := 0; j < deg; j++ {
+			x := fr.u64()
+			if fr.err != nil {
+				return nil, nil, fr.err
+			}
+			next, ok := runStep(prev, x, j, n)
+			if !ok {
+				return nil, nil, runStepError(v, n, j, prev, x)
+			}
+			sorted = append(sorted, Vertex(next))
+			prev = next
+		}
+		for j := 0; j < deg; j++ {
+			x := fr.u64()
+			if fr.err != nil {
+				return nil, nil, fr.err
+			}
+			if x >= uint64(deg) {
+				return nil, nil, portError(v, x, deg)
+			}
+			ports = append(ports, int32(x))
+		}
+	}
+	return sorted, ports, nil
+}
+
+// decodeRow decodes row v — len(run) gaps, then as many ports — from
+// the front of p into run and prt, and returns the bytes it consumed.
+// Single-byte varints, the bulk of every row, decode inline. It
+// returns -1 when the row runs past the end of p or holds an
+// overlong varint; the caller then re-reads the row through u64,
+// which crosses into the next frame or reports the varint error.
+func decodeRow(p []byte, v, n int, run []Vertex, prt []int32) (int, error) {
+	i := 0
+	prev := int64(-1)
+	for j := range run {
+		var x uint64
+		if i < len(p) && p[i] < 0x80 {
+			x = uint64(p[i])
+			i++
+		} else {
+			var k int
+			if x, k = binary.Uvarint(p[i:]); k <= 0 {
+				return -1, nil
+			}
+			i += k
+		}
+		next, ok := runStep(prev, x, j, n)
+		if !ok {
+			return 0, runStepError(v, n, j, prev, x)
+		}
+		run[j] = Vertex(next)
+		prev = next
+	}
+	deg := uint64(len(prt))
+	for j := range prt {
+		var x uint64
+		if i < len(p) && p[i] < 0x80 {
+			x = uint64(p[i])
+			i++
+		} else {
+			var k int
+			if x, k = binary.Uvarint(p[i:]); k <= 0 {
+				return -1, nil
+			}
+			i += k
+		}
+		if x >= deg {
+			return 0, portError(v, x, len(prt))
+		}
+		prt[j] = int32(x)
+	}
+	return i, nil
+}
+
+// runStep applies the j-th gap x of an n-vertex graph's ascending
+// neighbor run after entry prev (the first gap counts from 0, with
+// prev = -1): the next entry, and whether it is in range and strictly
+// above prev. Any valid gap is below n; the unsigned test also keeps
+// the int64 arithmetic from wrapping on a crafted gap.
+func runStep(prev int64, x uint64, j, n int) (int64, bool) {
+	next := prev + int64(x)
+	if j == 0 {
+		next++
+	}
+	return next, x < uint64(n) && (x != 0 || j == 0) && next < int64(n)
+}
+
+// runStepError explains why runStep rejected gap x in row v.
+func runStepError(v, n, j int, prev int64, x uint64) error {
+	if x >= uint64(n) {
+		return fmt.Errorf("graph: vertex %d has out-of-range neighbor gap %d", v, x)
+	}
+	if j > 0 && x == 0 {
+		return fmt.Errorf("graph: parallel edge %d-%d", v, prev)
+	}
+	next, _ := runStep(prev, x, j, n)
+	return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, next)
+}
+
+// portError rejects port p in a row of degree deg.
+func portError(v int, p uint64, deg int) error {
+	return fmt.Errorf("graph: vertex %d has port %d outside [0,%d)", v, p, deg)
 }
 
 // sizeHintOf reports how many bytes remain in r when r exposes its
@@ -718,35 +808,10 @@ func readBinary(br *bufio.Reader) (*Graph, error) {
 	if sum := crc32.Checksum(body, crcTable); sum != binary.LittleEndian.Uint32(trailer) {
 		return nil, fmt.Errorf("graph: binary checksum mismatch (corrupt or truncated payload)")
 	}
-	p := body[len(binMagic):]
-	var derr error
-	nextU := func() uint64 {
-		if derr != nil {
-			return 0
-		}
-		x, k := binary.Uvarint(p)
-		if k <= 0 {
-			derr = io.ErrUnexpectedEOF
-			return 0
-		}
-		p = p[k:]
-		return x
-	}
-	nextI := func() int64 {
-		if derr != nil {
-			return 0
-		}
-		x, k := binary.Varint(p)
-		if k <= 0 {
-			derr = io.ErrUnexpectedEOF
-			return 0
-		}
-		p = p[k:]
-		return x
-	}
-	nU, nPrimeU, arcsU := nextU(), nextU(), nextU()
-	if derr != nil {
-		return nil, fmt.Errorf("graph: binary header: %w", derr)
+	fr := &frameReader{buf: body[len(binMagic):], end: true}
+	nU, nPrimeU, arcsU := fr.u64(), fr.u64(), fr.u64()
+	if fr.err != nil {
+		return nil, fmt.Errorf("graph: binary header: %w", fr.err)
 	}
 	if nU > maxReasonableN {
 		return nil, fmt.Errorf("graph: unreasonable n=%d", nU)
@@ -760,19 +825,19 @@ func readBinary(br *bufio.Reader) (*Graph, error) {
 	n, arcs := int(nU), int(arcsU)
 	// Every varint is at least one byte; reject counts the remaining
 	// payload cannot possibly hold before allocating for them.
-	if int64(2*n)+2*int64(arcs) > int64(len(p)) {
-		return nil, fmt.Errorf("graph: binary payload truncated (%d bytes for n=%d, %d arcs)", len(p), n, arcs)
+	if left := len(fr.buf) - fr.pos; int64(2*n)+2*int64(arcs) > int64(left) {
+		return nil, fmt.Errorf("graph: binary payload truncated (%d bytes for n=%d, %d arcs)", left, n, arcs)
 	}
 	ids := make([]int64, n)
 	prev := int64(0)
 	for i := range ids {
-		prev += nextI()
+		prev += fr.i64()
 		ids[i] = prev
 	}
 	offsets := make([]int64, n+1)
 	total := uint64(0)
 	for v := 0; v < n; v++ {
-		deg := nextU()
+		deg := fr.u64()
 		// Compare against the remaining capacity rather than summing
 		// first: a crafted degree near 2^64 would wrap the sum past
 		// both this check and the final equality, planting negative
@@ -783,48 +848,21 @@ func readBinary(br *bufio.Reader) (*Graph, error) {
 		total += deg
 		offsets[v+1] = int64(total)
 	}
-	if derr == nil && total != arcsU {
+	if fr.err != nil {
+		return nil, fmt.Errorf("graph: binary payload: %w", fr.err)
+	}
+	if total != arcsU {
 		return nil, fmt.Errorf("graph: degree sum %d does not match declared arc count %d", total, arcsU)
 	}
-	sorted := make([]Vertex, arcs)
-	ports := make([]int32, arcs)
-	for v := 0; v < n; v++ {
-		o, e := offsets[v], offsets[v+1]
-		prev = -1
-		for i := o; i < e; i++ {
-			gap := nextU()
-			// Any valid gap is at most n-1; rejecting on the unsigned
-			// value also makes the int64 arithmetic below wrap-free.
-			if gap >= uint64(n) {
-				return nil, fmt.Errorf("graph: vertex %d has out-of-range neighbor gap %d", v, gap)
-			}
-			if i > o && gap == 0 {
-				return nil, fmt.Errorf("graph: parallel edge %d-%d", v, prev)
-			}
-			next := prev + int64(gap)
-			if i == o {
-				next++ // first gap counts from 0, prev starts at -1
-			}
-			if next >= int64(n) {
-				return nil, fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, next)
-			}
-			sorted[i] = Vertex(next)
-			prev = next
+	sorted, ports, err := fr.readArcs(n, offsets, make([]Vertex, 0, arcs), make([]int32, 0, arcs))
+	if err != nil {
+		if err == fr.err {
+			err = fmt.Errorf("graph: binary payload: %w", err)
 		}
-		deg := uint64(e - o)
-		for i := o; i < e; i++ {
-			p := nextU()
-			if p >= deg {
-				return nil, fmt.Errorf("graph: vertex %d has port %d outside [0,%d)", v, p, deg)
-			}
-			ports[i] = int32(p)
-		}
+		return nil, err
 	}
-	if derr != nil {
-		return nil, fmt.Errorf("graph: binary payload: %w", derr)
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("graph: %d unconsumed bytes after the arc sections", len(p))
+	if err := fr.finish(); err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
 	}
 	return fromCSRSorted(ids, offsets, sorted, ports, int64(nPrimeU))
 }

@@ -3,9 +3,12 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -20,21 +23,21 @@ func (u unsizedReader) Read(p []byte) (int, error) { return u.r.Read(p) }
 // chunk target — for feeding the reader inputs no writer produces.
 func craftBinaryV3(n, nPrime, arcs uint64, idDeltas []int64, degrees []uint64, rows []uint64, chunk int) []byte {
 	var buf bytes.Buffer
-	cw := &chunkedWriter{w: &buf, crc: crc32.New(crcTable), chunk: chunk, buf: make([]byte, 0, chunk+binary.MaxVarintLen64)}
-	cw.write(binMagicV3[:])
-	cw.putU(n)
-	cw.putU(nPrime)
-	cw.putU(arcs)
+	bw := newBinaryWriter(&buf, binMagicV3, chunk, true)
+	putU := func(x uint64) { bw.buf = bw.put(binary.AppendUvarint(bw.buf, x)) }
+	putU(n)
+	putU(nPrime)
+	putU(arcs)
 	for _, d := range idDeltas {
-		cw.putI(d)
+		bw.buf = bw.put(binary.AppendVarint(bw.buf, d))
 	}
 	for _, d := range degrees {
-		cw.putU(d)
+		putU(d)
 	}
 	for _, x := range rows {
-		cw.putU(x)
+		putU(x)
 	}
-	cw.finish()
+	bw.finish()
 	return buf.Bytes()
 }
 
@@ -118,22 +121,15 @@ func TestBinaryV3MatchesV2Payload(t *testing.T) {
 }
 
 // TestBinaryV3RejectsCorrupt drives Read over truncations and
-// corruptions of a valid multi-frame v3 stream: every one must error
-// cleanly (frame CRC, stream CRC, or a structural check), never panic,
-// never return a graph — sized and unsized alike.
+// corruptions of valid multi-frame v3 streams (one with multi-byte
+// gaps and ports): every one must error cleanly (frame CRC, stream
+// CRC, or a structural check), never panic, never return a graph —
+// sized and unsized alike.
 func TestBinaryV3RejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 9))
 	g, err := PlantedMinDegree(50, 6, rng)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := g.writeBinaryV3(&buf, 128); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	if _, err := Read(bytes.NewReader(valid)); err != nil {
-		t.Fatalf("valid multi-frame stream rejected: %v", err)
 	}
 	check := func(name string, data []byte) {
 		t.Helper()
@@ -144,16 +140,28 @@ func TestBinaryV3RejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: unsized Read accepted it", name)
 		}
 	}
-	// Truncations at every interesting boundary, including mid-frame
-	// and inside the end marker and trailer.
-	for _, cut := range []int{1, 4, len(binMagicV3), len(binMagicV3) + 1, len(binMagicV3) + 3, len(valid) / 2, len(valid) - 5, len(valid) - 1} {
-		check("truncation", valid[:cut])
-	}
-	// Single corrupted byte in the header, frame payloads, and trailer.
-	for _, pos := range []int{len(binMagicV3), len(binMagicV3) + 2, len(valid) / 2, len(valid) - 2} {
-		c := append([]byte(nil), valid...)
-		c[pos] ^= 0x40
-		check("bit flip", c)
+	var valid []byte // the planted stream once the loop ends; reused below
+	for _, g := range []*Graph{allFamilies(t)["wide gaps"], g} {
+		var buf bytes.Buffer
+		if _, err := g.writeBinaryV3(&buf, 128); err != nil {
+			t.Fatal(err)
+		}
+		valid = buf.Bytes()
+		if _, err := Read(bytes.NewReader(valid)); err != nil {
+			t.Fatalf("valid multi-frame stream rejected: %v", err)
+		}
+		// Truncations at every interesting boundary, including
+		// mid-frame and inside the end marker and trailer.
+		for _, cut := range []int{1, 4, len(binMagicV3), len(binMagicV3) + 1, len(binMagicV3) + 3, len(valid) / 2, len(valid) - 5, len(valid) - 1} {
+			check("truncation", valid[:cut])
+		}
+		// Single corrupted byte in the header, frame payloads, and
+		// trailer.
+		for _, pos := range []int{len(binMagicV3), len(binMagicV3) + 2, len(valid) / 2, len(valid) - 2} {
+			c := append([]byte(nil), valid...)
+			c[pos] ^= 0x40
+			check("bit flip", c)
+		}
 	}
 	// A frame length past the reader's cap must be refused before any
 	// allocation for it.
@@ -191,20 +199,136 @@ func TestBinaryV3RejectsCorrupt(t *testing.T) {
 	check("trailing bytes", append(append([]byte(nil), valid...), 0x00))
 }
 
-// TestBinaryV3StraddlesEveryChunk shreds one graph across every tiny
-// chunk target so frame boundaries land between all section types.
+// TestBinaryV3StraddlesEveryChunk shreds graphs across every tiny
+// chunk target so frame boundaries land between all section types,
+// then across targets up to 1 MiB, where rows decode in one pass
+// inside a frame and only a frame's last row straddles. The "wide
+// gaps" family puts multi-byte gaps and ports in its rows.
 func TestBinaryV3StraddlesEveryChunk(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
-	g, err := PlantedMinDegree(80, 9, rng)
+	planted, err := PlantedMinDegree(80, 9, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for chunk := 1; chunk <= 24; chunk++ {
-		h := v3RoundTrip(t, g, chunk)
-		if !g.Equal(h) {
-			t.Fatalf("chunk=%d round trip changed the graph", chunk)
+	chunks := []int{127, 128, 129, 255, 1000, 4096, 1 << 16, 1 << 20}
+	for chunk := 24; chunk >= 1; chunk-- {
+		chunks = append([]int{chunk}, chunks...)
+	}
+	for name, g := range map[string]*Graph{"planted": planted, "wide gaps": allFamilies(t)["wide gaps"]} {
+		for _, chunk := range chunks {
+			h := v3RoundTrip(t, g, chunk)
+			if !g.Equal(h) {
+				t.Fatalf("%s: chunk=%d round trip changed the graph", name, chunk)
+			}
 		}
 	}
+}
+
+// TestBinaryRowErrorsMatchAcrossFormats corrupts one row of a valid
+// payload in each way the row checks catch, and requires v2 and v3
+// (sized and unsized) to reject it with the same error text at every
+// v3 chunk target from one byte up, so that the bad row lies wholly
+// inside a frame for some targets and straddles a frame boundary for
+// others.
+func TestBinaryRowErrorsMatchAcrossFormats(t *testing.T) {
+	g, err := PlantedMinDegree(40, 5, rand.New(rand.NewPCG(41, 42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	idDeltas := make([]int64, n)
+	degrees := make([]uint64, n)
+	var rows []uint64
+	rowAt := make([]int, n+1) // row v is rows[rowAt[v]:rowAt[v+1]]
+	for v := Vertex(0); int(v) < n; v++ {
+		idDeltas[v] = 1
+		degrees[v] = uint64(g.Degree(v))
+		rowAt[v] = len(rows)
+		last := Vertex(0)
+		for _, u := range g.sortedAdj(v) {
+			rows = append(rows, uint64(u-last))
+			last = u
+		}
+		for _, p := range g.idPort[g.offsets[v]:g.offsets[v+1]] {
+			rows = append(rows, uint64(p))
+		}
+	}
+	rowAt[n] = len(rows)
+	idDeltas[0] = 0
+	bad := Vertex(n / 2)
+	deg := g.Degree(bad)
+	if deg < 3 {
+		t.Fatalf("row %d has degree %d, want ≥ 3", bad, deg)
+	}
+	gap, port := rowAt[bad], rowAt[bad]+deg
+	// Byte offsets of every payload varint, to tell where frames cut.
+	var varints []uint64
+	varints = append(varints, uint64(n), uint64(n), uint64(2*g.M()))
+	for _, d := range idDeltas {
+		varints = append(varints, uint64(d)<<1)
+	}
+	varints = append(varints, degrees...)
+	rowsFrom := len(varints)
+
+	run := g.sortedAdj(bad)
+	for _, tc := range []struct {
+		name, want string
+		at         int
+		val        uint64
+	}{
+		{"gap ≥ n", "out-of-range neighbor gap 1048576", gap, 1 << 20},
+		{"zero gap", fmt.Sprintf("parallel edge %d-%d", bad, run[0]), gap + 1, 0},
+		{"neighbor ≥ n", fmt.Sprintf("out-of-range neighbor %d", int(run[deg-2])+n-1), gap + deg - 1, uint64(n - 1)},
+		{"port ≥ deg", fmt.Sprintf("port 300 outside [0,%d)", deg), port, 300},
+		{"duplicate port", fmt.Sprintf("lists port %d twice", rows[port]), port + 1, rows[port]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bent := slices.Clone(rows)
+			bent[tc.at] = tc.val
+			_, err := Read(bytes.NewReader(craftBinary(uint64(n), uint64(n), uint64(2*g.M()), idDeltas, degrees, bent)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("v2: got %v, want an error containing %q", err, tc.want)
+			}
+			lens := make([]int, 0, rowsFrom+len(bent))
+			for _, x := range append(slices.Clone(varints), bent...) {
+				lens = append(lens, len(binary.AppendUvarint(nil, x)))
+			}
+			inside, straddled := false, false
+			for chunk := 1; chunk <= 2*len(bent)+2*n+8; chunk++ {
+				data := craftBinaryV3(uint64(n), uint64(n), uint64(2*g.M()), idDeltas, degrees, bent, chunk)
+				for _, r := range []io.Reader{bytes.NewReader(data), unsizedReader{bytes.NewReader(data)}} {
+					if _, err3 := Read(r); err3 == nil || err3.Error() != err.Error() {
+						t.Fatalf("chunk=%d: v3 error %v, v2 error %v", chunk, err3, err)
+					}
+				}
+				if cutsRow(lens, chunk, rowsFrom+rowAt[bad], rowsFrom+rowAt[bad+1]) {
+					straddled = true
+				} else {
+					inside = true
+				}
+			}
+			if !inside || !straddled {
+				t.Fatalf("bad row inside a frame: %v, straddling frames: %v; want both", inside, straddled)
+			}
+		})
+	}
+}
+
+// cutsRow reports whether the v3 writer's frames, at the given chunk
+// target over payload varints of the given byte lengths, cut inside
+// the run of varints [from, to).
+func cutsRow(lens []int, chunk, from, to int) bool {
+	pending := 0
+	for i, l := range lens {
+		pending += l
+		if pending >= chunk {
+			pending = 0
+			if i >= from && i < to-1 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestReadStampsGraphs checks that every decoder stamps the graph it
