@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -369,5 +370,44 @@ func TestReadStampsGraphs(t *testing.T) {
 			t.Errorf("%s: stamp %d already issued to the %s graph", f.name, h.Stamp(), prev)
 		}
 		seen[h.Stamp()] = f.name
+	}
+}
+
+// TestBinaryEncodingsPinned pins the exact v2 and v3 bytes — v3 at
+// chunk targets that cut frames after every varint, mid-row, and not
+// at all — for an identity-named and a permuted-ID planted graph with
+// multi-byte ports, so a writer change that still round-trips cannot
+// move the framing or the payload unnoticed. Values are sha256
+// prefixes.
+func TestBinaryEncodingsPinned(t *testing.T) {
+	g, err := PlantedMinDegree(300, 140, rand.New(rand.NewPCG(5, 6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := Rebuild(g)
+	b.PermuteIDs(rand.New(rand.NewPCG(7, 8)))
+	permuted, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]map[int]string{ // chunk 0 = v2
+		"identity": {0: "6c5fa4abaaa7a7a0", 1: "de302938aa38cc55", 7: "13564e813719ebdb", 1000: "2df045b54f5c088a", v3ChunkLen: "dbcb3a34682d18e5"},
+		"permuted": {0: "dff11e4586c52e50", 1: "70de503e31574eb5", 7: "e520999cf5fb5ccc", 1000: "acb46d0a2b27c3c8", v3ChunkLen: "f15affe21fdb8099"},
+	}
+	for name, g := range map[string]*Graph{"identity": g, "permuted": permuted} {
+		for chunk, w := range want[name] {
+			var buf bytes.Buffer
+			if chunk == 0 {
+				_, err = g.WriteBinary(&buf)
+			} else {
+				_, err = g.writeBinaryV3(&buf, chunk)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))[:16]; got != w {
+				t.Errorf("%s, chunk %d (0 = v2): sha256 %s…, want %s…", name, chunk, got, w)
+			}
+		}
 	}
 }
