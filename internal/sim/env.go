@@ -100,7 +100,7 @@ func (e *Env) StayFor(k int64) {
 	if k <= 0 {
 		return
 	}
-	e.step(Action{kind: actStay, wait: k})
+	e.step(StayFor(k))
 }
 
 // WaitUntilRound stays until the global round counter reaches r (a
@@ -118,7 +118,7 @@ func (e *Env) MoveToPort(p int) error {
 	if p < 0 || p >= e.view().Degree {
 		return fmt.Errorf("sim: agent %s moving through port %d of a degree-%d vertex", e.name, p, e.view().Degree)
 	}
-	e.step(Action{kind: actMove, port: p})
+	e.step(Move(p))
 	return nil
 }
 
@@ -130,7 +130,7 @@ func (e *Env) MoveToID(id int64) error {
 		return fmt.Errorf("sim: agent %s used MoveToID without neighbor-ID access", e.name)
 	}
 	if p, ok := e.view().PortOfID(id); ok {
-		e.step(Action{kind: actMove, port: p})
+		e.step(Move(p))
 		return nil
 	}
 	return fmt.Errorf("sim: agent %s at vertex %d has no neighbor with ID %d", e.name, e.view().HereID, id)
@@ -149,8 +149,7 @@ func (e *Env) view() *View { return e.host.cur }
 // suspends the program until its next acting round.
 func (e *Env) step(act Action) {
 	if e.staged {
-		act.write = true
-		act.writeVal = e.stagedV
+		act = act.WithWrite(e.stagedV)
 		e.staged = false
 	}
 	if !e.host.yieldFn(act) {

@@ -78,10 +78,10 @@ func (ps *pullProgramStepper) Finish() {
 func exitAction(r any) Action {
 	switch r {
 	case nil, haltSignal:
-		return Action{kind: actHalt}
+		return Halt()
 	case stopSignal:
 		return Action{}
 	default:
-		return Action{kind: actPanic, err: fmt.Errorf("program panic: %v", r)}
+		return Abort(fmt.Errorf("program panic: %v", r))
 	}
 }

@@ -259,6 +259,7 @@ func (tc *TrialContext) arm(cfg Config, team []Stepper, reuse bool) {
 	}
 	if cfg.Whiteboards {
 		rt.boards = tc.boardsFor(cfg.Graph.N())
+		rt.written = &tc.written
 	}
 	rt.agents = tc.agents[:k]
 	for i, st := range team {
@@ -297,6 +298,7 @@ type runtime struct {
 	kt1           bool
 	whiteboards   bool
 	boards        []int64
+	written       *[]graph.Vertex // the owning TrialContext's written-board list
 	maxRounds     int64
 	observer      func(RoundEvent)
 	noMeeting     bool
@@ -411,6 +413,9 @@ func (rt *runtime) tick(out *Result) (done bool, err error) {
 		if d.pendingWrite {
 			d.pendingWrite = false
 			if rt.whiteboards {
+				if rt.boards[d.pos] == NoMark {
+					*rt.written = append(*rt.written, d.pos)
+				}
 				rt.boards[d.pos] = d.writeVal
 				rt.writes++
 			}
@@ -450,23 +455,23 @@ func (rt *runtime) step(d *agentState) error {
 		v.g, v.here = rt.g, d.pos
 	}
 	act := d.st.Next(v)
-	switch act.kind {
+	switch act.op & actKindMask {
 	case actPanic:
 		d.halted = true
-		return act.err
+		return *act.err
 	case actHalt:
 		d.halted = true
 	case actStay:
-		d.waiting = max(act.wait, 1) - 1
+		d.waiting = max(act.arg, 1) - 1
 		d.stays++
 	case actMove:
-		if act.port < 0 || act.port >= v.Degree {
+		if act.arg < 0 || act.arg >= int64(v.Degree) {
 			d.halted = true
-			return fmt.Errorf("moved through port %d of a degree-%d vertex", act.port, v.Degree)
+			return fmt.Errorf("moved through port %d of a degree-%d vertex", act.arg, v.Degree)
 		}
-		d.moveTo = rt.g.Neighbor(d.pos, act.port)
+		d.moveTo = rt.g.Neighbor(d.pos, int(act.arg))
 	}
-	if act.write {
+	if act.op&actWrite != 0 {
 		d.pendingWrite = true
 		d.writeVal = act.writeVal
 	}

@@ -136,26 +136,37 @@ func (v *View) PortOfID(id int64) (port int, ok bool) {
 // Action is one agent decision for one acting round. Build actions
 // with the constructors (Stay, StayFor, Move, Halt, Abort) and attach
 // a whiteboard write with WithWrite; the zero value is a 1-round stay.
+//
+// Action must stay at most four fields and four words. Go's compiler
+// keeps a struct in registers (SSA) only within that limit (CanSSA,
+// MaxStruct = 4, in cmd/compile/internal/ssa); a larger Action is
+// spilled to the stack field by field on every return through the
+// stepper chain and reloaded in the runtime's step, and that
+// store-to-load stall cost about a third of every paper-algorithm
+// round. Hence one word packs the kind with the write flag, one
+// argument serves both Move and StayFor, and the rare abort error sits
+// behind a pointer. TestActionFitsInRegisters pins the shape.
 type Action struct {
-	kind     actionKind
-	port     int   // actMove
-	wait     int64 // actStay: total rounds to spend staying (≥ 1)
-	write    bool  // commit a whiteboard write at the current vertex
-	writeVal int64
-	err      error // actPanic
+	op       actionOp // kind (actKindMask bits) | actWrite
+	arg      int64    // actMove: the port; actStay: rounds to spend staying
+	writeVal int64    // the staged whiteboard value when op has actWrite
+	err      *error   // actPanic: the run's error, boxed to keep one word
 }
 
-type actionKind uint8
+type actionOp uint64
 
 const (
-	actStay actionKind = iota
+	actStay actionOp = iota
 	actMove
 	actHalt
 	actPanic
+
+	actKindMask actionOp = 3
+	actWrite    actionOp = 4 // commit a whiteboard write at the current vertex
 )
 
 // Stay spends one round at the current vertex.
-func Stay() Action { return Action{kind: actStay, wait: 1} }
+func Stay() Action { return Action{op: actStay, arg: 1} }
 
 // StayFor spends k rounds at the current vertex (k < 1 is clamped to
 // 1: unlike Env.StayFor, a Stepper cannot act without consuming a
@@ -165,20 +176,21 @@ func StayFor(k int64) Action {
 	if k < 1 {
 		k = 1
 	}
-	return Action{kind: actStay, wait: k}
+	return Action{op: actStay, arg: k}
 }
 
 // Move crosses the edge behind local port p (one round). An
 // out-of-range port aborts the run with an error, matching a Program
 // panic.
-func Move(p int) Action { return Action{kind: actMove, port: p} }
+func Move(p int) Action { return Action{op: actMove, arg: int64(p)} }
 
 // Halt stops the agent at its current vertex permanently.
-func Halt() Action { return Action{kind: actHalt} }
+func Halt() Action { return Action{op: actHalt} }
 
 // Abort fails the whole run with err — the stepper counterpart of a
-// Program panic, for states an algorithm considers impossible.
-func Abort(err error) Action { return Action{kind: actPanic, err: err} }
+// Program panic, for states an algorithm considers impossible. An
+// abort ends the run, so its one allocation is off the hot path.
+func Abort(err error) Action { return Action{op: actPanic, err: &err} }
 
 // WithWrite stages a whiteboard write of val to the agent's current
 // vertex; it commits together with the action in the same round,
@@ -186,7 +198,7 @@ func Abort(err error) Action { return Action{kind: actPanic, err: err} }
 // move, whiteboard content). Writes in whiteboard-free runs are
 // dropped.
 func (a Action) WithWrite(val int64) Action {
-	a.write = true
+	a.op |= actWrite
 	a.writeVal = val
 	return a
 }
@@ -238,6 +250,7 @@ func Finish(s Stepper) {
 // worker goroutine its own.
 type TrialContext struct {
 	boards  []int64
+	written []graph.Vertex // vertices whose board left NoMark since the last re-arm
 	pcg     []*rand.PCG
 	rand    []*rand.Rand
 	scratch []AgentScratch // per-agent algorithm scratch (see AgentScratch)
@@ -282,15 +295,25 @@ func (tc *TrialContext) ensureAgents(k int) {
 }
 
 // boardsFor returns the whiteboard array reset to n empty boards,
-// reusing the previous trial's capacity.
+// reusing the previous trial's capacity. Only the boards listed in
+// tc.written can hold a mark, so a re-arm on the same n resets just
+// those — O(boards written), not O(n); a fresh context or a changed
+// n fills the whole array.
 func (tc *TrialContext) boardsFor(n int) []int64 {
-	if cap(tc.boards) < n {
-		tc.boards = make([]int64, n)
+	if len(tc.boards) == n {
+		for _, v := range tc.written {
+			tc.boards[v] = NoMark
+		}
+	} else {
+		if cap(tc.boards) < n {
+			tc.boards = make([]int64, n)
+		}
+		tc.boards = tc.boards[:n]
+		for i := range tc.boards {
+			tc.boards[i] = NoMark
+		}
 	}
-	tc.boards = tc.boards[:n]
-	for i := range tc.boards {
-		tc.boards[i] = NoMark
-	}
+	tc.written = tc.written[:0]
 	return tc.boards
 }
 
