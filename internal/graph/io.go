@@ -11,7 +11,6 @@ import (
 	"io"
 	"io/fs"
 	"math"
-	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -140,7 +139,7 @@ func (g *Graph) WriteBinary(w io.Writer) (int64, error) {
 	if len(g.nbrs) > math.MaxInt32 {
 		return 0, fmt.Errorf("graph: arc count %d exceeds v2 format capacity (max %d arcs; use WriteBinaryV3)", len(g.nbrs), math.MaxInt32)
 	}
-	bw := newBinaryWriter(w, binMagic, v2FlushLen, false, g.binaryPayloadBound(v2FlushLen))
+	bw := newBinaryWriter(w, binMagic, v2FlushLen, false)
 	g.emitBinarySections(bw)
 	return bw.finish()
 }
@@ -166,15 +165,11 @@ type binaryWriter struct {
 }
 
 // newBinaryWriter starts a binary stream on w with the given magic.
-// The payload buffer starts at min(chunk, sizeHint) bytes, plus room
-// for the varint that crosses chunk, and append grows it past an
-// underestimated hint, so a small graph's encode does not allocate a
-// whole chunk. Flush points do not depend on the buffer's capacity.
-func newBinaryWriter(w io.Writer, magic [8]byte, chunk int, framed bool, sizeHint int) *binaryWriter {
+func newBinaryWriter(w io.Writer, magic [8]byte, chunk int, framed bool) *binaryWriter {
 	bw := &binaryWriter{
 		w:      w,
 		crc:    crc32.New(crcTable),
-		buf:    make([]byte, 0, min(chunk, sizeHint)+binary.MaxVarintLen64),
+		buf:    make([]byte, 0, chunk+binary.MaxVarintLen64),
 		chunk:  chunk,
 		framed: framed,
 	}
@@ -240,38 +235,6 @@ func (bw *binaryWriter) finish() (int64, error) {
 	bw.n += int64(n)
 	return bw.n, err
 }
-
-// binaryPayloadBound returns an upper bound on the payload bytes
-// emitBinarySections writes for g, or limit if that is smaller: the
-// binary writers size their buffer with it, and a payload of a chunk
-// or more never needs more than a chunk of buffer. It reads no arcs.
-// The header, ID deltas and degrees are counted exactly, and so are
-// the ports, a permutation of 0..deg-1 per vertex. A vertex's gaps
-// sum to at most n-1, so at most (n-1)>>7j of them reach 2^7j and
-// take a (j+1)-th byte.
-func (g *Graph) binaryPayloadBound(limit int) int {
-	size := uvarintLen(uint64(g.N())) + uvarintLen(uint64(g.nPrime)) + uvarintLen(uint64(len(g.nbrs)))
-	prev := int64(0)
-	for _, id := range g.ids {
-		d := id - prev
-		size += uvarintLen(uint64(d<<1) ^ uint64(d>>63)) // zig-zag, as AppendVarint
-		prev = id
-	}
-	for v := Vertex(0); int(v) < g.N() && size < limit; v++ {
-		k := g.Degree(v)
-		size += uvarintLen(uint64(k)) + 2*k
-		for t := 1 << 7; t < k; t <<= 7 {
-			size += k - t // ports ≥ t take one more byte
-		}
-		for m := (g.N() - 1) >> 7; m > 0; m >>= 7 {
-			size += min(k, m)
-		}
-	}
-	return min(size, limit)
-}
-
-// uvarintLen is len(binary.AppendUvarint(nil, x)).
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // emitBinarySections writes the logical payload shared by the v2 and
 // v3 binary formats: the header (n, n', arcs), the delta-coded ids,
@@ -383,7 +346,7 @@ func (g *Graph) writeBinaryV3(w io.Writer, chunk int) (int64, error) {
 	if chunk > v3MaxChunkLen {
 		return 0, fmt.Errorf("graph: v3 chunk %d exceeds the reader's frame cap %d", chunk, v3MaxChunkLen)
 	}
-	bw := newBinaryWriter(w, binMagicV3, chunk, true, g.binaryPayloadBound(chunk))
+	bw := newBinaryWriter(w, binMagicV3, chunk, true)
 	g.emitBinarySections(bw)
 	return bw.finish()
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -25,7 +24,7 @@ func (u unsizedReader) Read(p []byte) (int, error) { return u.r.Read(p) }
 // chunk target — for feeding the reader inputs no writer produces.
 func craftBinaryV3(n, nPrime, arcs uint64, idDeltas []int64, degrees []uint64, rows []uint64, chunk int) []byte {
 	var buf bytes.Buffer
-	bw := newBinaryWriter(&buf, binMagicV3, chunk, true, chunk)
+	bw := newBinaryWriter(&buf, binMagicV3, chunk, true)
 	putU := func(x uint64) { bw.buf = bw.put(binary.AppendUvarint(bw.buf, x)) }
 	putU(n)
 	putU(nPrime)
@@ -409,27 +408,6 @@ func TestBinaryEncodingsPinned(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))[:16]; got != w {
 				t.Errorf("%s, chunk %d (0 = v2): sha256 %s…, want %s…", name, chunk, got, w)
 			}
-		}
-	}
-}
-
-// TestBinaryPayloadBound pins the binary writers' buffer size hint
-// against the payload they write (the v2 stream minus its 8-byte
-// magic and 4-byte CRC trailer): on every family it is never short,
-// so the buffer never grows, it stays under twice the payload, and a
-// smaller limit caps it.
-func TestBinaryPayloadBound(t *testing.T) {
-	for name, g := range allFamilies(t) {
-		var v2 bytes.Buffer
-		if _, err := g.WriteBinary(&v2); err != nil {
-			t.Fatal(err)
-		}
-		payload := v2.Len() - len(binMagic) - 4
-		if got := g.binaryPayloadBound(math.MaxInt); got < payload || got >= 2*payload {
-			t.Errorf("%s: binaryPayloadBound = %d, want within [%d, %d)", name, got, payload, 2*payload)
-		}
-		if got := g.binaryPayloadBound(payload - 1); got != payload-1 {
-			t.Errorf("%s: binaryPayloadBound(%d) = %d, want the limit", name, payload-1, got)
 		}
 	}
 }
