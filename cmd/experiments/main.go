@@ -62,9 +62,7 @@ func main() {
 		runList  = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
 		quick    = flag.Bool("quick", false, "small sweeps (smoke mode)")
 		trials   = flag.Int("trials", 0, "trials per configuration (0 = default)")
-		seeds    = flag.Int("seeds", 0, "alias of -trials (kept for compatibility)")
 		parallel = flag.Int("parallel", 0, "parallel trials (0 = GOMAXPROCS; never affects results)")
-		workers  = flag.Int("workers", 0, "alias of -parallel (kept for compatibility)")
 		preset   = flag.String("params", "practical", "constant preset: practical|paper")
 		shard    = flag.String("shard", "", "run engine-batch shard i of k, format i/k (trial seeds stay global; tables then summarize partial samples)")
 		csvDir   = flag.String("csv", "", "directory to write per-experiment CSVs")
@@ -86,12 +84,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *trials == 0 {
-		*trials = *seeds
-	}
-	if *parallel == 0 {
-		*parallel = *workers
-	}
 	cfg := fnr.ExperimentConfig{Quick: *quick, Seeds: *trials, Workers: *parallel}
 	if *shard != "" {
 		var err error
@@ -213,8 +205,7 @@ type tailOptions struct {
 // as indented JSON. The whole run is one fnr.JobSpec — the same
 // serializable description cmd/fnrd accepts over HTTP — so the
 // workload derivation (PCG stream 0xbe7c4) and the aggregate bytes
-// match a benchengine mega run or a daemon submission of the same
-// parameters exactly.
+// match a daemon submission of the same parameters exactly.
 func runTail(cfg fnr.ExperimentConfig, opt tailOptions) {
 	// SIGINT/SIGTERM cancel the batch at the next chunk boundary via
 	// the drain helper shared with cmd/fnrd; the run still flushes its

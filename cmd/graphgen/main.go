@@ -2,8 +2,8 @@
 // families used by the reproduction.
 //
 // The default -format binary writes the chunked v3 format, which
-// carries any arc count and reads back at least as fast as v2 (binary3
-// is an alias kept for existing scripts); v2 files still read. Large
+// carries any arc count and reads back at least as fast as v2; v2
+// files still read. Large
 // planted generations (-n 2¹⁸ and up) report progress on stderr.
 //
 // Usage:
@@ -36,7 +36,7 @@ func main() {
 		p      = flag.Float64("p", 0.1, "edge probability (gnp)")
 		seed   = flag.Uint64("seed", 1, "generator seed")
 		out    = flag.String("o", "", "write the graph to this file")
-		format = flag.String("format", "binary", "output format: binary (v3; binary3 is an alias) or text (v1); reading auto-detects every format")
+		format = flag.String("format", "binary", "output format: binary (v3) or text (v1); reading auto-detects every format")
 		in     = flag.String("in", "", "read a graph from this file instead of generating (either format)")
 		stats  = flag.Bool("stats", false, "print structural properties")
 		idMode = flag.String("ids", "tight", "ID assignment: tight|permuted|sparse")
@@ -73,11 +73,11 @@ func main() {
 	if *out != "" {
 		write, label := (*fnr.Graph).WriteBinaryV3, "binary v3"
 		switch *format {
-		case "binary", "binary3":
+		case "binary":
 		case "text":
 			write, label = (*fnr.Graph).WriteTo, "text"
 		default:
-			log.Fatalf("unknown format %q (want binary, binary3, or text)", *format)
+			log.Fatalf("unknown format %q (want binary or text)", *format)
 		}
 		// Atomic rewrite: a crash mid-write (or a reader racing the
 		// generator) never observes a truncated graph file.

@@ -122,10 +122,6 @@ type (
 // NoMark is the empty-whiteboard sentinel.
 const NoMark = sim.NoMark
 
-// V3MaxChunkLen is the largest frame payload the v3 graph reader
-// accepts — the bound on a streaming decode's transient buffer.
-const V3MaxChunkLen = graph.V3MaxChunkLen
-
 // The two agents of a legacy run (team indices 0 and 1).
 const (
 	AgentA = sim.AgentA
@@ -383,39 +379,6 @@ func buildOpts(opt Options) algo.BuildOpts {
 	}
 }
 
-// BuildPrograms constructs one run's direct-style Program pair for a
-// registered algorithm — the building block for driving a registered
-// strategy through RunPrograms with a custom SimConfig. Programs are
-// stateful: build a fresh pair per run.
-func BuildPrograms(a Algorithm, opt Options) (Program, Program, error) {
-	spec, err := specOf(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	progA, progB, err := spec.Programs(buildOpts(opt))
-	if err != nil {
-		return nil, nil, fmt.Errorf("fnr: %w", err)
-	}
-	return progA, progB, nil
-}
-
-// BuildSteppers constructs one run's Stepper pair for a registered
-// algorithm — the state-machine counterpart of BuildPrograms, for
-// RunSteppers. Steppers are stateful: build
-// a fresh pair per run, and FinishStepper any pair that is never
-// handed to a run.
-func BuildSteppers(a Algorithm, opt Options) (Stepper, Stepper, error) {
-	spec, err := specOf(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	stA, stB, err := spec.Steppers(buildOpts(opt))
-	if err != nil {
-		return nil, nil, fmt.Errorf("fnr: %w", err)
-	}
-	return stA, stB, nil
-}
-
 // Rendezvous runs the selected strategy for two agents starting on
 // startA and startB (which the paper's algorithms require to be
 // adjacent) and reports the outcome. The strategy is resolved through
@@ -665,8 +628,8 @@ func RunJob(ctx context.Context, s JobSpec, opt JobExecOptions) (*JobResult, err
 }
 
 // RunJobBuilt is RunJob for a workload that is already materialized —
-// the entry point for callers that manage graph reuse themselves (the
-// fnrd daemon's graph cache, benchengine's pre-built mega graph).
+// the entry point for callers that manage graph reuse themselves, like
+// the fnrd daemon's graph cache.
 func RunJobBuilt(ctx context.Context, s JobSpec, m JobMaterialized, opt JobExecOptions) (*JobResult, error) {
 	return job.RunBuilt(ctx, s, m, opt)
 }

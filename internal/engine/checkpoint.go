@@ -385,7 +385,9 @@ func ReadCheckpoint(rd io.Reader, b Batch) (*Reducer, error) {
 			return nil, fmt.Errorf("engine: checkpoint is for a different batch: %s %v, want %v", c.field, got, want)
 		}
 	}
-	// Reducer section.
+	// Reducer section. The loops stop at the first decode error, so a
+	// count claiming more entries than the payload carries costs
+	// O(payload), not O(count).
 	r := NewReducer()
 	r.trials = cr.count()
 	r.met = cr.count()
@@ -395,7 +397,7 @@ func ReadCheckpoint(rd io.Reader, b Batch) (*Reducer, error) {
 		d.vals = make([]int64, 0, min(k, 1<<16))
 		d.counts = make([]int64, 0, min(k, 1<<16))
 		prev := int64(-1)
-		for range k {
+		for i := 0; i < k && cr.err == nil; i++ {
 			v, c := int64(cr.u64()), int64(cr.u64())
 			if cr.err == nil && (v <= prev || c < 1) {
 				cr.err = errors.New("value table not ascending")
@@ -407,12 +409,12 @@ func ReadCheckpoint(rd io.Reader, b Batch) (*Reducer, error) {
 		}
 	}
 	k := cr.count()
-	for range k {
+	for i := 0; i < k && cr.err == nil; i++ {
 		trial := cr.count()
 		r.errs.note(trial, cr.str())
 	}
 	k = cr.count()
-	for range k {
+	for i := 0; i < k && cr.err == nil; i++ {
 		lo, hi := cr.count(), cr.count()
 		r.AddSpan(lo, hi)
 	}

@@ -2,10 +2,16 @@ package engine
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fnr/internal/graph"
+	"fnr/internal/sim"
 )
 
 // checkpointBatch is the standard batch of the checkpoint tests:
@@ -243,4 +249,117 @@ func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 	} else if blob, _ := json.Marshal(rerun.Aggregate(b)); string(blob) != string(wantAgg) {
 		t.Errorf("no-op resume changed the aggregate:\ngot:  %s\nwant: %s", blob, wantAgg)
 	}
+}
+
+// frameJournal wraps a raw payload stream in the journal wire format
+// with valid frame and stream CRCs.
+func frameJournal(magic string, payload []byte) []byte {
+	var buf bytes.Buffer
+	cw := &ckptWriter{w: &buf, crc: crc32.New(ckptCRC)}
+	cw.wire([]byte(magic))
+	cw.buf = append(cw.buf, payload...)
+	cw.end()
+	return buf.Bytes()
+}
+
+// FuzzReadCheckpoint feeds the journal reader arbitrary bytes. No
+// input may panic, and an input the reader accepts must survive a
+// WriteCheckpoint → ReadCheckpoint round trip with its aggregate
+// unchanged. Each input is read against both seed batches twice: as a
+// raw wire, and as a payload stream (after a version-selector byte)
+// framed with valid CRCs, so mutations reach the payload decoder
+// instead of stopping at a checksum. Seeds: journals of a
+// scenario-free batch (v1 wire) and a scenario batch (v2 wire), their
+// truncations and bit flips, their payloads, and a payload whose value
+// table claims 2^62 entries it does not carry.
+func FuzzReadCheckpoint(f *testing.F) {
+	g, sa, sb := testGraph(f)
+	batches := []Batch{{
+		Graph: g, StartA: sa, StartB: sb,
+		Algorithm: "sweep", Delta: g.MinDegree(),
+		Trials: 64, Seed: 17, MaxRounds: 1 << 16,
+		Faults: &FaultPlan{Seed: 9, PPanic: 0.05, PBuildErr: 0.05},
+	}, {
+		Graph: g, Algorithm: "walkpair",
+		Trials: 32, Seed: 5, MaxRounds: 1 << 14,
+		Scenario: &sim.Scenario{
+			Starts:        []graph.Vertex{0, 7, 19},
+			WakeDelays:    []int64{0, 0, 16},
+			MeetFirstPair: true,
+		},
+	}}
+	for version, b := range batches {
+		r, err := RunReduced(context.Background(), b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, b, r); err != nil {
+			f.Fatal(err)
+		}
+		wire := buf.Bytes()
+		f.Add(wire)
+		for _, cut := range []int{9, len(wire) / 2, len(wire) - 1} {
+			f.Add(wire[:cut])
+		}
+		for _, at := range []int{8, len(wire) / 2, len(wire) - 2} {
+			flipped := bytes.Clone(wire)
+			flipped[at] ^= 0x10
+			f.Add(flipped)
+		}
+		cr, err := newCkptReader(bytes.NewReader(wire))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte{byte(version)}, cr.payload...))
+
+		// An empty reducer's payload ends in its seven zero counts;
+		// keep the first three and claim a 2^62-entry rounds table.
+		buf.Reset()
+		if err := WriteCheckpoint(&buf, b, NewReducer()); err != nil {
+			f.Fatal(err)
+		}
+		if cr, err = newCkptReader(&buf); err != nil {
+			f.Fatal(err)
+		}
+		huge := append([]byte{byte(version)}, cr.payload[:len(cr.payload)-4]...)
+		f.Add(binary.AppendUvarint(huge, 1<<62))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wires := [][]byte{data}
+		if len(data) > 0 {
+			magic := ckptMagic
+			if data[0]&1 == 1 {
+				magic = ckptMagicV2
+			}
+			wires = append(wires, frameJournal(magic, data[1:]))
+		}
+		for _, wire := range wires {
+			for _, b := range batches {
+				r, err := ReadCheckpoint(bytes.NewReader(wire), b)
+				if err != nil {
+					continue
+				}
+				var again bytes.Buffer
+				if err := WriteCheckpoint(&again, b, r); err != nil {
+					t.Fatal(err)
+				}
+				r2, err := ReadCheckpoint(&again, b)
+				if err != nil {
+					t.Fatalf("re-encoded journal rejected: %v", err)
+				}
+				want, err := json.Marshal(r.Aggregate(b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(r2.Aggregate(b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("aggregate changed across a rewrite:\ngot:  %s\nwant: %s", got, want)
+				}
+			}
+		}
+	})
 }

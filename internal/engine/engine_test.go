@@ -16,7 +16,7 @@ import (
 	_ "fnr/internal/baseline"
 )
 
-func testGraph(t *testing.T) (*graph.Graph, graph.Vertex, graph.Vertex) {
+func testGraph(t testing.TB) (*graph.Graph, graph.Vertex, graph.Vertex) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(11, 12))
 	g, err := graph.PlantedMinDegree(128, 40, rng)

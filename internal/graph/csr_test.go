@@ -34,12 +34,12 @@ func topoHash(g *Graph) uint64 {
 }
 
 // TestPlantedMinDegreeBenchTopologyPinned pins the exact topology of
-// the benchmark workload PlantedMinDegree(1024, 181) under
-// benchengine's stream PCG(7, 0xbe7c4), including the start-pair
-// draws that follow it, and of the fnrbench shapes below. The values were recorded from the seed
-// (pre-CSR) implementation; if this test fails, the generator's RNG
-// draw sequence moved and every committed BENCH_engine.json aggregate
-// is silently invalidated.
+// the reference workload PlantedMinDegree(1024, 181) under the
+// default job stream PCG(7, 0xbe7c4), including the start-pair draws
+// that follow it, and of the fnrbench shapes below. The values were
+// recorded from the seed (pre-CSR) implementation; if this test fails,
+// the generator's RNG draw sequence moved and every pinned aggregate
+// and fnrbench digest of these workloads is silently invalidated.
 func TestPlantedMinDegreeBenchTopologyPinned(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 0xbe7c4))
 	g, err := PlantedMinDegree(1024, 181, rng)

@@ -315,14 +315,9 @@ var binMagicV3 = [8]byte{'f', 'n', 'r', 'g', 'b', 'i', 'n', 3}
 const v3ChunkLen = 1 << 20
 
 // v3MaxChunkLen is the largest frame payload the decoder accepts — the
-// bound on its transient buffer, and the "chunk budget" of the CI
-// transient-memory gate (decode peak must stay under 2× this).
+// bound on its transient buffer, and the "chunk budget" of
+// TestReadV3StreamingAllocs (decode transient must stay under 2× this).
 const v3MaxChunkLen = 1 << 22
-
-// V3MaxChunkLen is the exported v3 frame-payload cap: the bound on a
-// streaming decode's transient buffer. Tools gating decode memory
-// (benchengine's huge preset) measure against multiples of it.
-const V3MaxChunkLen = v3MaxChunkLen
 
 // v3MaxArcs bounds the arc count a v3 header may declare: with n ≤
 // maxReasonableN = 2^28 a simple graph has fewer than 2^56 arcs, so

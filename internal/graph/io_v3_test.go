@@ -8,6 +8,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -409,5 +412,60 @@ func TestBinaryEncodingsPinned(t *testing.T) {
 				t.Errorf("%s, chunk %d (0 = v2): sha256 %s…, want %s…", name, chunk, got, w)
 			}
 		}
+	}
+}
+
+// TestReadV3StreamingAllocs gates v3 decode memory at O(chunk), not
+// O(file): a planted(65536, 64) graph written to a real file (~11.7
+// MiB, past the 2×v3MaxChunkLen = 8 MiB bound, so a decoder that
+// buffers the whole file fails) must read back through the sized
+// (os.File) path allocating less than 2×v3MaxChunkLen beyond the
+// returned graph's own arrays. MemStats counts are process-wide, so
+// the read runs at GOMAXPROCS 1.
+func TestReadV3StreamingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	g, err := PlantedMinDegree(1<<16, 64, rand.New(rand.NewPCG(7, 0xbe7c4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "planted.fnr")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := g.WriteBinaryV3(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size <= 2*v3MaxChunkLen {
+		t.Fatalf("file is %d bytes, too small to tell an O(file) decoder from an O(chunk) one", size)
+	}
+
+	f, err = os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h, err := Read(f)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.Equal(g) {
+		t.Fatal("v3 file round trip changed the graph")
+	}
+	transient := int64(after.TotalAlloc-before.TotalAlloc) - h.FootprintBytes()
+	t.Logf("%d-byte file: read allocated %d bytes beyond the graph's %d-byte footprint", size, transient, h.FootprintBytes())
+	if transient >= 2*v3MaxChunkLen {
+		t.Fatalf("streaming read allocated %d bytes beyond the graph, want < 2×v3MaxChunkLen = %d", transient, 2*v3MaxChunkLen)
 	}
 }

@@ -23,7 +23,8 @@ import (
 // bytes, so the test is gated: set FNR_WIDE_BOUNDARY=1 to run it
 // (needs ~80 GB of RAM headroom, ~10 GB of free temp disk, and a few
 // minutes of single-core time). CI exercises the same decode path at
-// bounded size through the benchengine huge preset instead.
+// bounded size instead: TestReadV3StreamingAllocs, and the huge-smoke
+// job's 2^20-vertex graphgen write and read.
 func TestWideOffsetsBoundaryRoundTrip(t *testing.T) {
 	if os.Getenv("FNR_WIDE_BOUNDARY") == "" {
 		t.Skip("set FNR_WIDE_BOUNDARY=1 to run (~80 GB RAM, ~10 GB disk)")

@@ -115,6 +115,41 @@ func TestGoldenSpecHashesPreScenario(t *testing.T) {
 	}
 }
 
+// TestGoldenScenarioSpecHash pins the identity of a k=3 delayed-wakeup
+// team spec on the reference workload — the spec CI's server-smoke
+// job submits to a live fnrd, whose served spec_hash must equal this
+// literal. Its workload key is the reference spec's: a scenario
+// changes the computation, not the graph.
+func TestGoldenScenarioSpecHash(t *testing.T) {
+	spec := job.Spec{
+		Algorithm:  "walkpair",
+		Workload:   &job.Workload{N: 1024, D: 181, Seed: 7},
+		Trials:     64,
+		Seed:       7,
+		Agents:     3,
+		WakeDelays: []int64{0, 0, 256},
+		Meet:       "firstpair",
+	}
+	const (
+		canonical = `{"algorithm":"walkpair","workload":{"kind":"planted","n":1024,"d":181,"seed":7},"trials":64,"seed":7,"agents":3,"wake_delays":[0,0,256],"meet":"firstpair"}`
+		hash      = "706be97f583039a7309b30312ebbae76cff065935f961e4fb26fda9a6a12cd30"
+		wkey      = "efc2a522f4caa1278292b4bfcd1b598f11cadb2183cbed744c9ccb61a0cd9cea"
+	)
+	data, err := spec.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != canonical {
+		t.Errorf("canonical JSON drifted:\ngot:  %s\nwant: %s", data, canonical)
+	}
+	if h, err := spec.Hash(); err != nil || h != hash {
+		t.Errorf("Hash = %s (err %v), want %s", h, err, hash)
+	}
+	if k := spec.WorkloadKey(); k != wkey {
+		t.Errorf("WorkloadKey = %s, want %s", k, wkey)
+	}
+}
+
 // The scenario normalization boundary: a bare agents=2 block is
 // observably the legacy setting and must hash like one; anything more
 // (delays, extra agents, a predicate) is new identity.

@@ -1,11 +1,10 @@
 // Package job defines the serializable unit of batch work shared by
-// every front end — the CLIs (benchengine, experiments -tail) and the
-// fnrd daemon. A Spec names a registered algorithm, a workload (or a
-// reference to an already-built graph), a trial count and seed, and
-// the optional shard / fault-plan / checkpoint policy; Materialize
-// derives the workload's graph and start pair deterministically, and
-// Run routes the spec through the engine's reduced or checkpointed
-// entry points.
+// every front end — experiments -tail and the fnrd daemon. A Spec
+// names a registered algorithm, a workload (or a reference to an
+// already-built graph), a trial count and seed, and the optional
+// shard / fault-plan / checkpoint policy; Materialize derives the
+// workload's graph and start pair deterministically, and Run routes
+// the spec through the engine's reduced or checkpointed entry points.
 //
 // Specs have a canonical JSON encoding and two content hashes:
 // Spec.Hash identifies the computation (everything that determines
@@ -17,8 +16,8 @@
 // Workload derivation is the single home of the idiom the CLIs used
 // to each open-code: a PCG(seed, stream) generator builds the graph,
 // then the *same* stream draws the adjacent start pair. The default
-// stream constant 0xbe7c4 matches benchengine's presets and
-// experiments -tail; the harness suite passes its historical stream
+// stream constant 0xbe7c4 is the one experiments -tail and fnrd
+// submissions use; the harness suite passes its historical stream
 // via Workload.Stream so every pre-refactor instance is reproduced
 // byte for byte.
 package job
@@ -43,7 +42,7 @@ import (
 )
 
 // DefaultStream is the PCG stream constant of the standard workload
-// derivation (benchengine presets, experiments -tail).
+// derivation (experiments -tail, fnrd submissions).
 const DefaultStream uint64 = 0xbe7c4
 
 // Workload names a deterministically derivable instance: a generated

@@ -43,7 +43,7 @@ func TestMaterializeMatchesLegacyDerivation(t *testing.T) {
 		seed   uint64
 		stream uint64
 	}{
-		{"benchengine-default-stream", 256, 16, 7, 0},
+		{"default-stream", 256, 16, 7, 0},
 		{"tail-stream", 128, 8, 11, 0},
 		{"harness-stream", 256, 16, 3, 0x9e3779b97f4a7c15},
 	} {

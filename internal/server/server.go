@@ -22,6 +22,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -309,12 +310,22 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// maxSpecBytes bounds a submission's request body. A real spec is well
+// under 1 KB; a larger body is answered 413 after at most this many
+// bytes are read.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec job.Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding spec: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorResponse{Error: "decoding spec: " + err.Error()})
 		return
 	}
 	spec = spec.Normalize()

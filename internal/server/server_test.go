@@ -121,6 +121,19 @@ func inProcessAggregate(t *testing.T, spec job.Spec) []byte {
 	return data
 }
 
+// assertSpecHash fails unless the served spec_hash is the in-process
+// hash of the normalized spec — the daemon's cache and dedup key.
+func assertSpecHash(t *testing.T, st statusResponse, spec job.Spec) {
+	t.Helper()
+	want, err := spec.Normalize().Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SpecHash != want {
+		t.Fatalf("served spec_hash = %s, want %s", st.SpecHash, want)
+	}
+}
+
 // TestSubmitPollAggregateByteIdentical is the acceptance pin: a batch
 // submitted over HTTP returns aggregate JSON byte-identical to the
 // same job.Spec run in-process via fnr.RunBatchReduced, and a second
@@ -148,6 +161,7 @@ func TestSubmitPollAggregateByteIdentical(t *testing.T) {
 	if string(final.Aggregate) != string(want) {
 		t.Fatalf("HTTP aggregate differs from in-process fnr.RunBatchReduced:\n%s\n%s", final.Aggregate, want)
 	}
+	assertSpecHash(t, final, spec)
 
 	// Second submission of the same workload hash: different trials
 	// and algorithm, same graph — served from cache, built once.
@@ -444,6 +458,49 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyTooLarge: a request body past maxSpecBytes is refused
+// with 413 and the usual error JSON, even when it is a valid spec
+// padded with JSON whitespace, and the daemon serves a normal spec
+// afterwards.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Drain(context.Background())
+
+	spec := job.Spec{
+		Algorithm: "sweep",
+		Workload:  &job.Workload{Kind: "planted", N: 64, D: 8, Seed: 3},
+		Trials:    5,
+		Seed:      4,
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := append([]byte("{"+strings.Repeat(" ", maxSpecBytes)), body[1:]...)
+	resp, err := http.Post(ts.URL+"/v1/batches", "application/json", bytes.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte submit status = %d, want 413", len(padded), resp.StatusCode)
+	}
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
+		t.Fatalf("413 body: error %q, decode err %v", er.Error, err)
+	}
+
+	st, code, _ := postSpec(t, ts.URL, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after the oversize body: status = %d", code)
+	}
+	if fin := pollUntil(t, ts.URL, st.ID, stateDone); fin.Error != "" {
+		t.Fatalf("spec after the oversize body failed: %s", fin.Error)
+	}
+}
+
 // TestScenarioSubmitByteIdentical: a k-agent delayed-wakeup scenario
 // spec is a first-class daemon submission — the HTTP aggregate is
 // byte-identical to the same spec run in-process, it echoes the
@@ -475,6 +532,7 @@ func TestScenarioSubmitByteIdentical(t *testing.T) {
 	if string(final.Aggregate) != string(want) {
 		t.Fatalf("HTTP scenario aggregate differs from the in-process run:\n%s\n%s", final.Aggregate, want)
 	}
+	assertSpecHash(t, final, spec)
 	for _, frag := range []string{`"scenario":{"agents":3`, `"wake_delays":[0,0,128]`, `"meet":"firstpair"`} {
 		if !strings.Contains(string(final.Aggregate), frag) {
 			t.Errorf("scenario aggregate missing %s:\n%s", frag, final.Aggregate)

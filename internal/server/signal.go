@@ -11,8 +11,8 @@ import (
 // SIGINT or SIGTERM — the one drain trigger shared by the daemon and
 // the CLIs. Cancellation propagates into the engine's entry points,
 // which stop at the next chunk boundary and flush checkpoint journals
-// through the final-flush path, so `experiments -tail`, benchengine,
-// and fnrd all honor an interrupt through this single code path. The
+// through the final-flush path, so `experiments -tail` and fnrd both
+// honor an interrupt through this single code path. The
 // returned stop function releases the signal registration (a second
 // signal after stop kills the process with the default disposition —
 // the escape hatch from a wedged drain).
