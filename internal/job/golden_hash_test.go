@@ -7,12 +7,15 @@ import (
 	"fnr/internal/job"
 )
 
-// Golden spec identities, captured BEFORE the scenario fields were
-// added to job.Spec: a spec without scenario fields must canonical-
-// JSON and hash byte-identically to the pre-scenario encoder, or
-// every daemon cache key and dedup table built before the refactor
-// silently invalidates. The scenario block is appended to the struct
-// with omitempty for exactly this reason.
+// Golden spec identities. All but the last were captured BEFORE the
+// scenario fields were added to job.Spec: a spec without scenario
+// fields must canonical-JSON and hash byte-identically to the
+// pre-scenario encoder, or every daemon cache key and dedup table
+// built before the refactor silently invalidates. The scenario block
+// is appended to the struct with omitempty for exactly this reason.
+// The last case is the k=3 delayed-wakeup team spec CI's server-smoke
+// job submits to a live fnrd, whose served spec_hash must equal this
+// literal; its workload key is the reference spec's.
 func TestGoldenSpecHashesPreScenario(t *testing.T) {
 	intp := func(v int) *int { return &v }
 	cases := []struct {
@@ -93,6 +96,21 @@ func TestGoldenSpecHashesPreScenario(t *testing.T) {
 			hash:      "7d11304caea37488242f3308dc7c6ca0d221577e5177b83d54b8816d59eac3fc",
 			wkey:      "b44a7e689aaefbc4449795c845c26912aa76a645b158118870eef08dc66254cb",
 		},
+		{
+			name: "team-scenario",
+			spec: job.Spec{
+				Algorithm:  "walkpair",
+				Workload:   &job.Workload{N: 1024, D: 181, Seed: 7},
+				Trials:     64,
+				Seed:       7,
+				Agents:     3,
+				WakeDelays: []int64{0, 0, 256},
+				Meet:       "firstpair",
+			},
+			canonical: `{"algorithm":"walkpair","workload":{"kind":"planted","n":1024,"d":181,"seed":7},"trials":64,"seed":7,"agents":3,"wake_delays":[0,0,256],"meet":"firstpair"}`,
+			hash:      "706be97f583039a7309b30312ebbae76cff065935f961e4fb26fda9a6a12cd30",
+			wkey:      "efc2a522f4caa1278292b4bfcd1b598f11cadb2183cbed744c9ccb61a0cd9cea",
+		},
 	}
 	for _, tc := range cases {
 		data, err := tc.spec.CanonicalJSON()
@@ -100,7 +118,7 @@ func TestGoldenSpecHashesPreScenario(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if string(data) != tc.canonical {
-			t.Errorf("%s: canonical JSON drifted from the pre-scenario encoder:\ngot:  %s\nwant: %s", tc.name, data, tc.canonical)
+			t.Errorf("%s: canonical JSON drifted:\ngot:  %s\nwant: %s", tc.name, data, tc.canonical)
 		}
 		h, err := tc.spec.Hash()
 		if err != nil {
@@ -112,41 +130,6 @@ func TestGoldenSpecHashesPreScenario(t *testing.T) {
 		if k := tc.spec.WorkloadKey(); k != tc.wkey {
 			t.Errorf("%s: WorkloadKey = %s, want %s", tc.name, k, tc.wkey)
 		}
-	}
-}
-
-// TestGoldenScenarioSpecHash pins the identity of a k=3 delayed-wakeup
-// team spec on the reference workload — the spec CI's server-smoke
-// job submits to a live fnrd, whose served spec_hash must equal this
-// literal. Its workload key is the reference spec's: a scenario
-// changes the computation, not the graph.
-func TestGoldenScenarioSpecHash(t *testing.T) {
-	spec := job.Spec{
-		Algorithm:  "walkpair",
-		Workload:   &job.Workload{N: 1024, D: 181, Seed: 7},
-		Trials:     64,
-		Seed:       7,
-		Agents:     3,
-		WakeDelays: []int64{0, 0, 256},
-		Meet:       "firstpair",
-	}
-	const (
-		canonical = `{"algorithm":"walkpair","workload":{"kind":"planted","n":1024,"d":181,"seed":7},"trials":64,"seed":7,"agents":3,"wake_delays":[0,0,256],"meet":"firstpair"}`
-		hash      = "706be97f583039a7309b30312ebbae76cff065935f961e4fb26fda9a6a12cd30"
-		wkey      = "efc2a522f4caa1278292b4bfcd1b598f11cadb2183cbed744c9ccb61a0cd9cea"
-	)
-	data, err := spec.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != canonical {
-		t.Errorf("canonical JSON drifted:\ngot:  %s\nwant: %s", data, canonical)
-	}
-	if h, err := spec.Hash(); err != nil || h != hash {
-		t.Errorf("Hash = %s (err %v), want %s", h, err, hash)
-	}
-	if k := spec.WorkloadKey(); k != wkey {
-		t.Errorf("WorkloadKey = %s, want %s", k, wkey)
 	}
 }
 
