@@ -3,7 +3,7 @@
 // It exposes the batch-job layer (internal/job) behind a small daemon:
 // POST a job.Spec to /v1/batches, poll GET /v1/batches/{id} until the
 // state is "done", and the returned aggregate is byte-identical to
-// running the same spec in-process through fnr.RunBatchReduced. Graphs
+// running the same spec in-process through fnr.RunJob. Graphs
 // are shared across batches through a content-addressed cache keyed by
 // workload hash, so repeated submissions against the same topology
 // build it once. Specs may carry a scenario block (agents, starts,

@@ -29,6 +29,12 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Met, res.MeetRound)
 //
+// Batches of trials run through three context-first entry points:
+// RunBatch returns the aggregate, RunBatchOutcomes the per-trial
+// outcomes, and RunJob runs a serializable JobSpec — the one route to
+// partial results on cancel, checkpoint/resume journals, and shards
+// (merged with MergeBatchReducers).
+//
 // Custom agents implement Program against Env and run under RunPrograms.
 package fnr
 
@@ -85,9 +91,6 @@ type (
 	StepperFinisher = sim.Finisher
 	// StepContext carries the run-constant inputs to a Stepper's Init.
 	StepContext = sim.StepContext
-	// AgentName identifies an agent by team index (AgentA and AgentB
-	// are agents 0 and 1 of the default two-agent setting).
-	AgentName = sim.AgentName
 	// Scenario generalizes a simulation beyond the paper's two-agent
 	// setting: k ≥ 2 agents with per-agent start vertices and wake
 	// delays, gathered (or pairwise-met) under a chosen predicate.
@@ -137,11 +140,10 @@ var (
 	Rebuild       = graph.Rebuild
 	FromAdjacency = graph.FromAdjacency
 	// ReadGraph parses any serialization format (v1 text, v2 binary,
-	// v3 chunked binary), auto-detected. Graph.WriteTo writes text,
-	// Graph.WriteBinary writes v2; Graph.WriteBinaryV3 writes the
-	// streaming chunked format, the only one whose arc count may
-	// exceed 2³¹ and whose decode keeps transient memory bounded by
-	// the chunk size.
+	// v3 chunked binary), auto-detected. Graph.WriteTo writes text and
+	// Graph.WriteBinaryV3 the streaming chunked format, the only one
+	// whose arc count may exceed 2³¹ and whose decode keeps transient
+	// memory bounded by the chunk size; v2 is read-only.
 	ReadGraph        = graph.Read
 	Complete         = graph.Complete
 	Ring             = graph.Ring
@@ -195,13 +197,6 @@ var (
 	// a lightweight coroutine, so it runs in batches without a
 	// state-machine rewrite.
 	ProgramStepper = sim.NewProgramStepper
-	// AlgorithmSteppersFromPrograms lifts an AlgorithmSpec.Build
-	// function into a BuildSteppers function using ProgramStepper.
-	AlgorithmSteppersFromPrograms = algo.SteppersFromPrograms
-	// FinishStepper releases a stepper's execution resources if it
-	// implements StepperFinisher (safe on nil) — call it on steppers
-	// that were built but never handed to a run.
-	FinishStepper = sim.Finish
 )
 
 // Experiments returns the full reproduction suite (E1–E10, A1, A2).
@@ -331,9 +326,9 @@ type (
 //     batches alike.
 //   - BuildSteppers constructs the state-machine Steppers that
 //     RunBatch steps inline, with per-trial scratch reuse. Left nil,
-//     registration fills it with AlgorithmSteppersFromPrograms(Build),
-//     which hosts the Build programs on coroutines; a native state
-//     machine saves that per-trial coroutine setup.
+//     registration hosts the Build programs on coroutines
+//     (ProgramStepper); a native state machine saves that per-trial
+//     coroutine setup.
 //
 // A spec that provides both must keep them behaviorally identical
 // (same actions, same RNG draw order).
@@ -420,8 +415,9 @@ type (
 	// round and move distributions).
 	Aggregate = engine.Aggregate
 	// BatchReducer is the bounded-memory outcome accumulator behind
-	// RunBatch — and the composition point for sharded sweeps (see
-	// Batch.ShardCount and RunBatchReduced).
+	// RunBatch — and the composition point for sharded sweeps: run
+	// each shard through RunJob and merge the JobResult reducers with
+	// MergeBatchReducers.
 	BatchReducer = engine.Reducer
 	// TrialSpan is a half-open global trial-index range [Lo, Hi): a
 	// sharded batch's coverage metadata on reducers and aggregates.
@@ -429,6 +425,11 @@ type (
 	// ScenarioInfo is the aggregate's echo of the scenario a batch ran
 	// under (nil on legacy two-agent batches).
 	ScenarioInfo = engine.ScenarioInfo
+	// FaultPlan injects deterministic per-trial faults (panics,
+	// stalls, builder errors) into a batch via Batch.Faults; fault
+	// placement depends only on (plan seed, global trial index), so
+	// aggregates stay byte-identical at any parallelism.
+	FaultPlan = engine.FaultPlan
 )
 
 // MergeBatchReducers combines per-shard (or per-worker) reducers;
@@ -437,89 +438,25 @@ type (
 // byte-identical JSON to the unsharded run.
 var MergeBatchReducers = engine.Merge
 
-// RunBatchReduced is RunBatch stopping one step earlier: it
-// returns the batch's merged reducer instead of the final aggregate,
-// so shards run in separate processes can be combined with
-// MergeBatchReducers before calling Aggregate.
-func RunBatchReduced(b Batch) (*BatchReducer, error) {
-	return engine.RunReduced(context.Background(), b)
-}
-
-// RunBatchReducedContext is RunBatchReduced under a context:
-// cancelling ctx stops the run at the next chunk boundary — no trial
-// is ever torn mid-flight, no goroutine outlives the call — and
-// returns the reducer state completed so far together with
-// ctx.Err(). The partial reducer's Spans say exactly which global
-// trials it covers, so it can be checkpointed and resumed.
-func RunBatchReducedContext(ctx context.Context, b Batch) (*BatchReducer, error) {
-	return engine.RunReduced(ctx, b)
-}
-
 // RunBatch fans the batch's trials across a worker pool and returns
 // their aggregate. Outcomes stream into per-worker reducers as trials
 // finish, so memory scales with the number of distinct observed
 // values, not the trial count. Each trial's seed derives from
 // (Batch.Seed, trial index), so the result is bit-identical for any
-// Workers setting.
-func RunBatch(b Batch) (*Aggregate, error) { return engine.Run(context.Background(), b) }
-
-// RunBatchContext is RunBatch under a context; a cancelled run
-// returns (nil, ctx.Err()). Callers that want the partial state of a
-// cancelled run use RunBatchReducedContext.
-func RunBatchContext(ctx context.Context, b Batch) (*Aggregate, error) {
-	return engine.Run(ctx, b)
-}
+// Workers setting. A cancelled run returns (nil, ctx.Err()); RunJob
+// returns the partial state instead.
+func RunBatch(ctx context.Context, b Batch) (*Aggregate, error) { return engine.Run(ctx, b) }
 
 // RunBatchOutcomes is RunBatch returning the per-trial outcomes in
 // trial order instead of the aggregate.
-func RunBatchOutcomes(b Batch) ([]BatchOutcome, error) {
-	return engine.RunOutcomes(context.Background(), b)
+func RunBatchOutcomes(ctx context.Context, b Batch) ([]BatchOutcome, error) {
+	return engine.RunOutcomes(ctx, b)
 }
-
-// Fault-tolerance surface, re-exported from the engine: crash-safe
-// checkpoint journals for long batches, and the deterministic
-// fault-injection plans that make the tolerance machinery itself
-// differential-testable.
-type (
-	// BatchCheckpoint configures RunBatchCheckpointed's journal: the
-	// file rewritten (atomically) with the batch's merged reducer
-	// state, and the trial cadence of those rewrites.
-	BatchCheckpoint = engine.Checkpoint
-	// FaultPlan injects deterministic per-trial faults (panics,
-	// stalls, builder errors) into a batch via Batch.Faults; fault
-	// placement depends only on (plan seed, global trial index), so
-	// aggregates stay byte-identical at any parallelism.
-	FaultPlan = engine.FaultPlan
-)
 
 // ParseFaultPlan parses the fault-plan grammar, e.g.
 // "panic:p=1e-4,stall:p=1e-4,builderr:p=1e-5".
 func ParseFaultPlan(spec string, seed uint64) (*FaultPlan, error) {
 	return engine.ParseFaultPlan(spec, seed)
-}
-
-// RunBatchCheckpointed executes the batch like RunBatchReducedContext
-// while journalling progress to ck.Path every ck.Every trials (and
-// once on return), resuming from an earlier journal's reducer if one
-// is given: only the trials outside resume's covered spans run, and
-// the merged result is byte-identical to an uninterrupted run — the
-// engine's crash-recovery loop (kill at any point, reload the
-// journal with ReadBatchCheckpoint, rerun).
-func RunBatchCheckpointed(ctx context.Context, b Batch, ck BatchCheckpoint, resume *BatchReducer) (*BatchReducer, error) {
-	return engine.RunCheckpointed(ctx, b, ck, resume)
-}
-
-// WriteBatchCheckpoint atomically writes a batch's reducer state to
-// a versioned, CRC-framed checkpoint journal at path.
-func WriteBatchCheckpoint(path string, b Batch, r *BatchReducer) error {
-	return engine.WriteCheckpointFile(path, b, r)
-}
-
-// ReadBatchCheckpoint loads the checkpoint journal at path,
-// validating its integrity and that it belongs to this exact batch
-// (algorithm, seed, trials, instance, budget and fault plan).
-func ReadBatchCheckpoint(path string, b Batch) (*BatchReducer, error) {
-	return engine.ReadCheckpointFile(path, b)
 }
 
 // RunPrograms executes two custom agent programs under an explicit
@@ -593,17 +530,14 @@ func SweepAgentsForInstance() (Program, Program) {
 // A JobSpec is the one serializable description of a batch — algorithm,
 // workload (or a reference to a cached graph), trials, seed, shard,
 // fault plan, checkpoint policy — shared by the CLIs and the fnrd
-// daemon. Constructing a spec and calling RunJob is equivalent to
-// materializing the workload by hand and running the engine's reduced
-// path, byte-for-byte in the aggregate.
+// daemon. Running a spec through RunJob gives byte-for-byte the
+// aggregate RunBatch gives for the batch the spec describes.
 
 type (
 	// JobSpec is the canonical serializable batch description.
 	JobSpec = job.Spec
 	// JobWorkload names a generated topology plus derivation seed.
 	JobWorkload = job.Workload
-	// JobMaterialized is a built graph with its derived start pair.
-	JobMaterialized = job.Materialized
 	// JobExecOptions carries execution-only knobs (never affect
 	// results).
 	JobExecOptions = job.ExecOptions
@@ -612,24 +546,11 @@ type (
 	JobResult = job.Result
 )
 
-// MaterializeWorkload derives the graph and start pair for a workload —
-// the single home of the seeded-PCG derivation previously duplicated
-// across the CLIs and harness.
-func MaterializeWorkload(w JobWorkload) (JobMaterialized, error) {
-	return w.Materialize()
-}
-
-// RunJob materializes the spec's workload and executes it, routing to
-// the plain reduced path or the checkpointed path according to the
-// spec. On cancellation the partial result is returned alongside
-// ctx.Err.
+// RunJob materializes the spec's workload and executes it: only the
+// spec's shard of trials runs, a Resume journal's covered trials are
+// skipped, and a Checkpoint journal is rewritten as the run goes. On
+// cancellation the partial result — its reducer's Spans say which
+// trials it covers — is returned alongside ctx.Err.
 func RunJob(ctx context.Context, s JobSpec, opt JobExecOptions) (*JobResult, error) {
 	return job.Run(ctx, s, opt)
-}
-
-// RunJobBuilt is RunJob for a workload that is already materialized —
-// the entry point for callers that manage graph reuse themselves, like
-// the fnrd daemon's graph cache.
-func RunJobBuilt(ctx context.Context, s JobSpec, m JobMaterialized, opt JobExecOptions) (*JobResult, error) {
-	return job.RunBuilt(ctx, s, m, opt)
 }

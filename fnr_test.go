@@ -146,14 +146,14 @@ func TestRunBatchFacade(t *testing.T) {
 		Algorithm: "whiteboard", Delta: g.MinDegree(),
 		Trials: 12, Seed: 4, Workers: 4,
 	}
-	agg, err := RunBatch(batch)
+	agg, err := RunBatch(t.Context(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if agg.Trials != 12 || agg.Met == 0 {
 		t.Fatalf("aggregate %+v", agg)
 	}
-	outcomes, err := RunBatchOutcomes(batch)
+	outcomes, err := RunBatchOutcomes(t.Context(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRunBatchFacade(t *testing.T) {
 	bad := batch
 	bad.Algorithm = "noboard"
 	bad.Delta = 0
-	if _, err := RunBatch(bad); err == nil {
+	if _, err := RunBatch(t.Context(), bad); err == nil {
 		t.Error("noboard batch without Delta accepted")
 	}
 }
@@ -179,11 +179,7 @@ func TestRunBatchMatchesJobAggregate(t *testing.T) {
 		Trials:    200,
 		Seed:      7,
 	}
-	m, err := MaterializeWorkload(*spec.Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunJobBuilt(t.Context(), spec, m, JobExecOptions{})
+	res, err := RunJob(t.Context(), spec, JobExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +187,10 @@ func TestRunBatchMatchesJobAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := RunBatch(Batch{
-		Graph: m.Graph, StartA: m.StartA, StartB: m.StartB,
-		Algorithm: "whiteboard", Delta: m.Graph.MinDegree(),
+	b := res.Batch
+	agg, err := RunBatch(t.Context(), Batch{
+		Graph: b.Graph, StartA: b.StartA, StartB: b.StartB,
+		Algorithm: "whiteboard", Delta: b.Graph.MinDegree(),
 		Trials: 200, Seed: 7,
 	})
 	if err != nil {

@@ -15,9 +15,9 @@ import (
 )
 
 // WriteFile writes the file at path atomically: write produces the
-// content into a temp file in path's directory, which is then synced
-// and renamed onto path. On any error the temp file is removed and
-// the destination is untouched.
+// content into a temp file in path's directory, which is then given
+// mode 0644, synced and renamed onto path. On any error the temp file
+// is removed and the destination is untouched.
 func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp*")
@@ -32,6 +32,12 @@ func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	}()
 	if err = write(tmp); err != nil {
 		return err
+	}
+	// os.CreateTemp makes the file 0600; give it the mode os.Create
+	// gives under the usual umask 022, so graphs and journals stay
+	// readable by other users.
+	if err = tmp.Chmod(0o644); err != nil {
+		return fmt.Errorf("atomicio: %w", err)
 	}
 	// Sync before rename: the rename must never become visible ahead
 	// of the bytes it names (a crash right after an unsynced rename

@@ -28,7 +28,7 @@ func cancelBatch(t *testing.T) Batch {
 // aggregate byte for byte — wherever the cancel happened to land.
 func TestCancelMidBatchReturnsCoveredPartialState(t *testing.T) {
 	b := cancelBatch(t)
-	want, err := RunReduced(t.Context(), b)
+	want, err := RunReduced(t.Context(), b, Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestCancelMidBatchReturnsCoveredPartialState(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		cancel()
 	}()
-	r, err := RunReduced(ctx, b)
+	r, err := RunReduced(ctx, b, Checkpoint{}, nil)
 	cancel()
 	if err == nil {
 		// The batch outran the cancel; nothing to assert beyond the
@@ -71,7 +71,7 @@ func TestCancelMidBatchReturnsCoveredPartialState(t *testing.T) {
 	}
 	// Resume: the partial state plus the uncovered remainder must
 	// reproduce the uninterrupted aggregate exactly.
-	resumed, err := RunCheckpointed(t.Context(), b, Checkpoint{}, r)
+	resumed, err := RunReduced(t.Context(), b, Checkpoint{}, r)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestPreCancelledContext(t *testing.T) {
 	b := cancelBatch(t)
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	r, err := RunReduced(ctx, b)
+	r, err := RunReduced(ctx, b, Checkpoint{}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunReduced: err = %v, want context.Canceled", err)
 	}
@@ -112,7 +112,7 @@ func TestCancelLeaksNoGoroutines(t *testing.T) {
 	for range 20 {
 		ctx, cancel := context.WithCancel(t.Context())
 		go cancel() // race the cancel against the whole run
-		if _, err := RunReduced(ctx, b); err != nil && !errors.Is(err, context.Canceled) {
+		if _, err := RunReduced(ctx, b, Checkpoint{}, nil); err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatal(err)
 		}
 		cancel()

@@ -17,14 +17,16 @@ import (
 	"fnr/internal/atomicio"
 )
 
-// This file makes long batches durable: a Reducer (plus the identity
-// of the batch that produced it) serializes to a versioned,
-// CRC-framed checkpoint journal, RunCheckpointed keeps that journal
-// fresh on disk every K trials, and a resumed run loads the journal,
-// skips exactly the covered global trial indices, and merges — so
-// kill -9 at any point costs at most the last flush interval, and
-// the resumed run's aggregate is byte-identical to an uninterrupted
-// one (reducer merging is partition-insensitive; see reduce.go).
+// This file holds the engine's one reduced path and makes it durable:
+// RunReduced folds every finished chunk into a shared journal reducer,
+// which serializes (plus the identity of the batch that produced it)
+// to a versioned, CRC-framed checkpoint journal, rewritten on disk
+// every K trials when a path is given. A resumed run loads the
+// journal, skips exactly the covered global trial indices, and merges
+// — so kill -9 at any point costs at most the last flush interval,
+// and the resumed run's aggregate is byte-identical to an
+// uninterrupted one (reducer merging is partition-insensitive; see
+// reduce.go).
 //
 // Wire format (the v3 chunk-framing idiom of internal/graph/io.go):
 //
@@ -67,34 +69,43 @@ const (
 
 var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// DefaultCheckpointEvery is the flush cadence RunCheckpointed uses
-// when Checkpoint.Every is 0: frequent enough that a crash loses
-// seconds of work, rare enough that journal writes stay invisible
-// next to the trials between them.
+// DefaultCheckpointEvery is the flush cadence RunReduced uses when
+// Checkpoint.Every is 0: frequent enough that a crash loses seconds of
+// work, rare enough that journal writes stay invisible next to the
+// trials between them.
 const DefaultCheckpointEvery = 1 << 17
 
-// Checkpoint configures RunCheckpointed's journal: the path the
-// journal is (atomically) rewritten at, and how many absorbed trials
-// may pass between rewrites. An empty Path disables journalling —
-// RunCheckpointed then just runs the uncovered ranges and merges.
+// Checkpoint configures RunReduced's journal: the path the journal is
+// (atomically) rewritten at, and how many absorbed trials may pass
+// between rewrites. The zero value writes no journal.
 type Checkpoint struct {
 	Path  string
 	Every int
 }
 
-// RunCheckpointed executes the batch like RunReduced, but resumes
-// from and journals to a checkpoint: resume (if non-nil, typically
-// loaded via ReadCheckpointFile) contributes its already-covered
-// trials, only the uncovered global trial ranges are run, and the
-// merged state is rewritten to ck.Path — atomically, so a crash
-// mid-write cannot tear it — every ck.Every absorbed trials and once
-// more on return. Cancelling ctx returns the merged partial state
-// together with ctx.Err(), exactly like RunReduced; the final flush
-// still happens, so a cancelled checkpointed run resumes too. A
-// journal write failure is sticky (later flushes are skipped) and is
-// returned after the run completes — the computation itself never
-// stops for a disk problem.
-func RunCheckpointed(ctx context.Context, b Batch, ck Checkpoint, resume *Reducer) (*Reducer, error) {
+// RunReduced is Run stopping one step earlier: it returns the batch's
+// merged reducer instead of the final aggregate. This is the
+// composition point for sharded sweeps — run each shard (same Batch,
+// different ShardIndex) in its own process, Merge the reducers, and
+// Aggregate the merge; the result is byte-identical to the unsharded
+// run. A reducer carries its trial coverage in Spans.
+//
+// resume (if non-nil, typically loaded via ReadCheckpointFile)
+// contributes its already-covered trials, and only the uncovered
+// global trial ranges run. With ck.Path set, the merged state is
+// rewritten there — atomically, so a crash mid-write cannot tear it —
+// every ck.Every absorbed trials and once more on return. A zero
+// Checkpoint with a nil resume is the plain run.
+//
+// Cancelling ctx stops the run at the next chunk boundary and returns
+// the merged state completed so far TOGETHER WITH ctx.Err(): every
+// trial the reducer absorbed is listed in its Spans, nothing half-run
+// is included, no goroutine outlives the call, and the final flush
+// still happens, so a cancelled run resumes too. A journal write
+// failure is sticky (later flushes are skipped) and is returned after
+// the run completes — the computation itself never stops for a disk
+// problem.
+func RunReduced(ctx context.Context, b Batch, ck Checkpoint, resume *Reducer) (*Reducer, error) {
 	b = b.normalized()
 	spec, opts, err := b.prepare()
 	if err != nil {
@@ -104,7 +115,9 @@ func RunCheckpointed(ctx context.Context, b Batch, ck Checkpoint, resume *Reduce
 	j := &journal{b: b, ck: ck, r: NewReducer()}
 	j.r.mergeFrom(resume)
 	for _, gap := range uncovered(lo, hi, j.r.Spans()) {
-		runReducedRange(ctx, b, spec, opts, gap.Lo, gap.Hi, j.absorb)
+		runLanes(ctx, b, spec, opts, gap.Lo, gap.Hi, NewReducer,
+			func(r *Reducer, trial int, o Outcome) { r.Add(trial, o) },
+			j.absorb)
 		if ctx.Err() != nil {
 			break
 		}
@@ -142,9 +155,9 @@ func uncovered(lo, hi int, covered []TrialSpan) []TrialSpan {
 	return out
 }
 
-// journal is the shared checkpoint state the workers' chunk flushes
-// merge into. The mutex is cold: it is taken once per 64-trial chunk
-// and once per journal rewrite, never per trial.
+// journal is the shared state the workers' chunk reducers merge
+// into. The mutex is cold: it is taken once per 64-trial chunk and
+// once per journal rewrite, never per trial.
 type journal struct {
 	mu    sync.Mutex
 	b     Batch
@@ -161,25 +174,30 @@ func (j *journal) every() int {
 	return DefaultCheckpointEvery
 }
 
-// absorb folds one worker's chunk-sized reducer into the journal and
-// rewrites the file when the flush cadence is due. It is the `out`
-// hook of runReducedRange.
-func (j *journal) absorb(part *Reducer) {
+// absorb folds one worker's chunk reducer, covering global trials
+// [from, to), into the journal, flushes when the cadence is due, and
+// empties the chunk reducer for the worker's next chunk — so
+// worker-local state stays one chunk deep and a crash loses at most
+// the chunks not yet absorbed. It is runLanes' cover hook.
+func (j *journal) absorb(part *Reducer, from, to int) {
+	part.AddSpan(from, to)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.fresh += part.trials
 	j.r.mergeFrom(part)
-	if j.ck.Path != "" && j.fresh >= j.every() {
+	part.reset()
+	if j.fresh >= j.every() {
 		j.flushLocked()
 	}
 }
 
+// flushLocked settles the span cover — chunk merges append lazily
+// (see Reducer.AddSpan), so this keeps the list bounded — and
+// rewrites the journal file when there is one.
 func (j *journal) flushLocked() {
 	j.fresh = 0
-	// Keep the in-memory span cover bounded: chunk merges append
-	// lazily (see Reducer.AddSpan), the flush settles the list.
 	j.r.spans = coalesceSpans(j.r.spans)
-	if j.err != nil {
+	if j.ck.Path == "" || j.err != nil {
 		return
 	}
 	if err := WriteCheckpointFile(j.ck.Path, j.b, j.r); err != nil {
@@ -190,9 +208,7 @@ func (j *journal) flushLocked() {
 func (j *journal) finalFlush() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.ck.Path != "" {
-		j.flushLocked()
-	}
+	j.flushLocked()
 	return j.err
 }
 

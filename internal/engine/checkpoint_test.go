@@ -33,7 +33,7 @@ func checkpointBatch(t *testing.T) Batch {
 // aggregate of the reloaded reducer is byte-identical.
 func TestCheckpointRoundtrip(t *testing.T) {
 	b := checkpointBatch(t)
-	r, err := RunReduced(t.Context(), b)
+	r, err := RunReduced(t.Context(), b, Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCheckpointRoundtripPartialCoverage(t *testing.T) {
 // the read — never load silently wrong state.
 func TestCheckpointDetectsTruncationAndCorruption(t *testing.T) {
 	b := checkpointBatch(t)
-	r, err := RunReduced(t.Context(), b)
+	r, err := RunReduced(t.Context(), b, Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCheckpointDetectsTruncationAndCorruption(t *testing.T) {
 // one, naming the mismatched identity field.
 func TestCheckpointIdentityMismatch(t *testing.T) {
 	b := checkpointBatch(t)
-	r, err := RunReduced(t.Context(), b)
+	r, err := RunReduced(t.Context(), b, Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +192,9 @@ func TestUncovered(t *testing.T) {
 // Resuming from a partial checkpoint runs only the uncovered ranges
 // and produces an aggregate byte-identical to the uninterrupted run
 // — the acceptance criterion of the checkpoint layer.
-func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
+func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	b := checkpointBatch(t)
-	want, err := RunReduced(t.Context(), b)
+	want, err := RunReduced(t.Context(), b, Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 	}
 
 	journal := filepath.Join(t.TempDir(), "journal.ckpt")
-	r, err := RunCheckpointed(t.Context(), b, Checkpoint{Path: journal, Every: 32}, loaded)
+	r, err := RunReduced(t.Context(), b, Checkpoint{Path: journal, Every: 32}, loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 	if string(finalAgg) != string(wantAgg) {
 		t.Errorf("final journal aggregate differs:\ngot:  %s\nwant: %s", finalAgg, wantAgg)
 	}
-	if rerun, err := RunCheckpointed(t.Context(), b, Checkpoint{Path: journal}, final); err != nil {
+	if rerun, err := RunReduced(t.Context(), b, Checkpoint{Path: journal}, final); err != nil {
 		t.Fatal(err)
 	} else if blob, _ := json.Marshal(rerun.Aggregate(b)); string(blob) != string(wantAgg) {
 		t.Errorf("no-op resume changed the aggregate:\ngot:  %s\nwant: %s", blob, wantAgg)
@@ -289,7 +289,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		},
 	}}
 	for version, b := range batches {
-		r, err := RunReduced(context.Background(), b)
+		r, err := RunReduced(context.Background(), b, Checkpoint{}, nil)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -282,26 +282,17 @@ func TrialSeed(batchSeed uint64, trial int) uint64 {
 // (≤ 0 = GOMAXPROCS) and returns the results indexed by trial. f must
 // be safe for concurrent calls with distinct indices.
 func Trials[T any](workers, n int, f func(trial int) T) []T {
-	return TrialsScratch(workers, n,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) T { return f(i) })
-}
-
-// TrialsScratch is Trials with per-worker scratch: every worker
-// goroutine calls newScratch once and passes the value to each of its
-// f invocations, so reusable trial state is allocated per worker, not
-// per trial, without any locking. f must be safe for concurrent calls with distinct
-// (scratch, trial) pairs; scratch values must never affect results.
-func TrialsScratch[S, T any](workers, n int, newScratch func() S, f func(scratch S, trial int) T) []T {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]T, n)
-	chunkedWorkers(context.Background(), workers, n, newScratch, func(scratch S, from, to int) {
-		for i := from; i < to; i++ {
-			out[i] = f(scratch, i)
-		}
-	})
+	chunkedWorkers(context.Background(), workers, n,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, from, to int) {
+			for i := from; i < to; i++ {
+				out[i] = f(i)
+			}
+		})
 	return out
 }
 
@@ -316,7 +307,7 @@ const claimChunk = 64
 // `workers` goroutines (≤ 0 = GOMAXPROCS) that claim claimChunk-sized
 // chunks from a shared cursor, calling run(scratch, from, to) for
 // each claimed chunk, and returns every worker's scratch once all
-// work is done (the streaming reducers merge them). Chunk claiming
+// work is done (runLanes closes their lanes). Chunk claiming
 // partitions [0, n) exactly — every index is processed once — and
 // which worker claims which chunk must never affect results.
 //
@@ -411,18 +402,16 @@ type laneWorker[S any] struct {
 // trial-index chunks and stream each finished trial's Outcome into
 // their sink via emit. Emitted trial indices are global
 // (shard-offset), matching the seeds. After each chunk, cover (if
-// non-nil) receives the chunk's completed global range — [from, from)
-// when a cancel struck before any arm, the full chunk otherwise; the
-// reducer path records its TrialSpans coverage there. It returns
-// every worker's sink (trial-indexed sinks write into shared
-// trial-indexed storage; reducer sinks get merged by the caller).
+// non-nil) receives the worker's sink and the chunk's completed global
+// range — [from, from) when a cancel struck before any arm, the full
+// chunk otherwise; RunReduced merges the chunk into its journal there.
 // Worker count and chunk assignment never affect which Outcome a
 // trial produces.
 //
 // Cancelling ctx stops each lane before its next arm (via lane.Stop):
 // the running trial finishes, nothing new is armed, and the pool exits
 // at the chunk-claim boundary.
-func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.BuildOpts, lo, hi int, newSink func() S, emit func(sink S, trial int, o Outcome), cover func(sink S, from, to int)) []S {
+func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.BuildOpts, lo, hi int, newSink func() S, emit func(sink S, trial int, o Outcome), cover func(sink S, from, to int)) {
 	cfg := trialConfig(b, spec, 0) // per-trial seeds come from seedOf
 	seedOf := func(t int) uint64 { return TrialSeed(b.Seed, t) }
 	build := func() ([]sim.Stepper, error) {
@@ -451,22 +440,19 @@ func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.Bui
 			cover(w.sink, lo+from, wm)
 		}
 	})
-	sinks := make([]S, len(workers))
-	for i, w := range workers {
+	for _, w := range workers {
 		w.lane.Close()
-		sinks[i] = w.sink
 	}
-	return sinks
 }
 
 // Run executes the batch and reduces its outcomes into an Aggregate:
-// RunReduced followed by Reducer.Aggregate. Engine-owned memory is
-// bounded by the number of distinct observed values, not the trial
-// count, which is what makes 10M-trial batches practical. Cancelling
-// ctx returns (nil, ctx.Err()); callers that want the partial state
-// use RunReduced.
+// the plain RunReduced followed by Reducer.Aggregate. Engine-owned
+// memory is bounded by the number of distinct observed values, not
+// the trial count, which is what makes 10M-trial batches practical.
+// Cancelling ctx returns (nil, ctx.Err()); callers that want the
+// partial state use RunReduced.
 func Run(ctx context.Context, b Batch) (*Aggregate, error) {
-	r, err := RunReduced(ctx, b)
+	r, err := RunReduced(ctx, b, Checkpoint{}, nil)
 	if err != nil {
 		return nil, err
 	}

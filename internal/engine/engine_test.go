@@ -167,40 +167,6 @@ func TestEqualStartsRejected(t *testing.T) {
 	}
 }
 
-func TestTrialsScratchPerWorker(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
-		scratches := map[*int]bool{}
-		got := TrialsScratch(workers, 40,
-			func() *int {
-				s := new(int)
-				mu.Lock()
-				scratches[s] = true
-				mu.Unlock()
-				return s
-			},
-			func(s *int, i int) int {
-				*s++ // scratch is worker-private: no lock needed
-				return i * i
-			})
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: got[%d] = %d", workers, i, v)
-			}
-		}
-		if len(scratches) > max(workers, 1) {
-			t.Fatalf("workers=%d: %d scratches allocated, want ≤ %d (one per worker)", workers, len(scratches), workers)
-		}
-		total := 0
-		for s := range scratches {
-			total += *s
-		}
-		if total != 40 {
-			t.Fatalf("workers=%d: scratch uses sum to %d, want 40", workers, total)
-		}
-	}
-}
-
 func TestTrialSeed(t *testing.T) {
 	seen := map[uint64]bool{}
 	for batch := uint64(0); batch < 4; batch++ {

@@ -121,7 +121,7 @@ func TestFaultDifferentialAcrossPathsAndShards(t *testing.T) {
 		for i := range shards {
 			b := base
 			b.ShardIndex, b.ShardCount = i, shards
-			r, err := RunReduced(t.Context(), b)
+			r, err := RunReduced(t.Context(), b, Checkpoint{}, nil)
 			if err != nil {
 				t.Fatalf("%s shard %d: %v", name, i, err)
 			}

@@ -46,7 +46,7 @@ func TestKillResumeChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCheckpointed(context.Background(), b, Checkpoint{Path: path, Every: 512}, nil); err != nil {
+	if _, err := RunReduced(context.Background(), b, Checkpoint{Path: path, Every: 512}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -62,7 +62,7 @@ func TestKillResumeByteIdenticalAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunReduced(t.Context(), b)
+	want, err := RunReduced(t.Context(), b, Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ waitForJournal:
 	if covered := prior.trials; killed && covered >= b.Trials {
 		t.Logf("child covered all %d trials before dying", covered)
 	}
-	r, err := RunCheckpointed(t.Context(), b, Checkpoint{Path: journal}, prior)
+	r, err := RunReduced(t.Context(), b, Checkpoint{Path: journal}, prior)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,10 @@
 package engine
 
 import (
-	"context"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
-
-	"fnr/internal/algo"
 )
 
 // This file is the engine's one aggregator: per-worker Reducer state
@@ -65,8 +62,8 @@ func (r *Reducer) Add(trial int, o Outcome) {
 }
 
 // reset empties the reducer, keeping its grown tables' capacity — the
-// per-chunk flush cadence of the checkpoint path would otherwise
-// reallocate every table every 64 trials.
+// per-chunk journal merge of RunReduced would otherwise reallocate
+// every worker's tables every 64 trials.
 func (r *Reducer) reset() {
 	r.trials, r.met, r.errors = 0, 0, 0
 	r.rounds.reset()
@@ -131,7 +128,7 @@ func Merge(parts ...*Reducer) *Reducer {
 }
 
 // mergeFrom folds another reducer's state into this one in place —
-// the journal path's hot merge (called once per chunk under a lock,
+// RunReduced's hot merge (called once per chunk under a lock,
 // so it appends spans uncoalesced; see AddSpan). Safe on nil.
 func (r *Reducer) mergeFrom(p *Reducer) {
 	if p == nil {
@@ -177,68 +174,6 @@ func (r *Reducer) Aggregate(b Batch) *Aggregate {
 		agg.TrialSpans = slices.Clone(r.spans)
 	}
 	return agg
-}
-
-// RunReduced is Run stopping one step earlier: it returns the batch's
-// merged reducer instead of the final aggregate. This is the
-// composition point for sharded sweeps — run each shard (same Batch,
-// different ShardIndex) in its own process, Merge the reducers, and
-// Aggregate the merge; the result is byte-identical to the unsharded
-// run. A reducer carries its trial coverage in Spans.
-//
-// Cancelling ctx stops the run at the next chunk boundary and
-// returns the reducer state completed so far TOGETHER WITH ctx.Err():
-// every trial the reducer absorbed is listed in its Spans, nothing
-// half-run is included, and no goroutine outlives the call — the
-// partial reducer can be checkpointed and later resumed (see
-// RunCheckpointed) or merged with a rerun of the uncovered ranges.
-func RunReduced(ctx context.Context, b Batch) (*Reducer, error) {
-	b = b.normalized()
-	spec, opts, err := b.prepare()
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := b.shardSpan()
-	m := Merge(runReducedRange(ctx, b, spec, opts, lo, hi, nil)...)
-	return m, ctx.Err()
-}
-
-// chunkCollector is the per-worker sink of the reduced runs:
-// outcomes accumulate into r, and endChunk stamps each completed
-// chunk's trial-span coverage. In journal mode (out non-nil) the
-// collector instead flushes r to the shared journal after every chunk
-// and starts empty, so worker-local state stays one chunk deep and a
-// crash loses at most the chunks not yet absorbed; in plain mode (out
-// nil) r simply grows and the caller merges the workers' parts — no
-// locks anywhere near the hot loop.
-type chunkCollector struct {
-	r   *Reducer
-	out func(*Reducer)
-}
-
-func (c *chunkCollector) endChunk(from, to int) {
-	c.r.AddSpan(from, to)
-	if c.out != nil {
-		c.out(c.r)
-		c.r.reset()
-	}
-}
-
-// runReducedRange executes global trials [lo, hi) of the batch,
-// reducing per worker, and returns the workers' reducer parts (empty
-// husks in journal mode — the data went to out). Coverage spans are
-// stamped per completed chunk, so a cancelled run's parts say exactly
-// which trials they absorbed.
-func runReducedRange(ctx context.Context, b Batch, spec algo.Spec, opts algo.BuildOpts, lo, hi int, out func(*Reducer)) []*Reducer {
-	cs := runLanes(ctx, b, spec, opts, lo, hi,
-		func() *chunkCollector { return &chunkCollector{r: NewReducer(), out: out} },
-		func(c *chunkCollector, trial int, o Outcome) { c.r.Add(trial, o) },
-		func(c *chunkCollector, from, to int) { c.endChunk(from, to) })
-	parts := make([]*Reducer, len(cs))
-	for i, c := range cs {
-		parts[i] = c.r
-	}
-	return parts
 }
 
 // distCounter is a sorted value → count table: the bounded

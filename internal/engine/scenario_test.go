@@ -178,7 +178,7 @@ func TestCheckpointScenarioIdentity(t *testing.T) {
 		Scenario: &sim.Scenario{Starts: []graph.Vertex{2, 11, 23}, WakeDelays: []int64{0, 16, 0}},
 	}
 	write := func(b Batch) []byte {
-		r, err := RunReduced(context.Background(), b)
+		r, err := RunReduced(context.Background(), b, Checkpoint{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestCheckpointScenarioIdentity(t *testing.T) {
 	}
 }
 
-// RunCheckpointed resume works for scenario batches: a run cut short
+// RunReduced resume works for scenario batches: a run cut short
 // resumes to the byte-identical aggregate.
 func TestScenarioCheckpointResume(t *testing.T) {
 	g, _, _ := testGraph(t)
@@ -261,7 +261,7 @@ func TestScenarioCheckpointResume(t *testing.T) {
 	// First leg: cancel after some progress by bounding to a shard.
 	shard := b
 	shard.ShardCount, shard.ShardIndex = 3, 0
-	r1, err := RunCheckpointed(context.Background(), shard, Checkpoint{Path: path, Every: 1}, nil)
+	r1, err := RunReduced(context.Background(), shard, Checkpoint{Path: path, Every: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestScenarioCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunCheckpointed(context.Background(), b, Checkpoint{Path: path, Every: 1}, prior)
+	r2, err := RunReduced(context.Background(), b, Checkpoint{Path: path, Every: 1}, prior)
 	if err != nil {
 		t.Fatal(err)
 	}

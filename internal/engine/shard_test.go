@@ -72,7 +72,7 @@ func TestShardedReducersMergeToUnshardedAggregate(t *testing.T) {
 	for i := range parts {
 		b := base
 		b.ShardIndex, b.ShardCount = i, k
-		if parts[i], err = RunReduced(t.Context(), b); err != nil {
+		if parts[i], err = RunReduced(t.Context(), b, Checkpoint{}, nil); err != nil {
 			t.Fatalf("shard %d/%d: %v", i, k, err)
 		}
 	}

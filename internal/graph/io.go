@@ -54,7 +54,8 @@ import (
 // graphs past 2^31 arcs.
 //
 // Read auto-detects the format by the leading bytes; WriteTo emits v1
-// text, WriteBinary emits v2, WriteBinaryV3 emits v3.
+// text and WriteBinaryV3 emits v3. v2 is read-only: nothing writes it
+// any more, and Read keeps decoding the v2 files already on disk.
 
 const formatHeader = "fnr-graph v1"
 
@@ -63,8 +64,8 @@ const formatHeader = "fnr-graph v1"
 // final byte; see binMagicV3).
 var binMagic = [8]byte{'f', 'n', 'r', 'g', 'b', 'i', 'n', 2}
 
-// crcTable is the Castagnoli polynomial table shared by the v2 writer
-// and reader.
+// crcTable is the Castagnoli polynomial table shared by the binary
+// writer and reader.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // countWriter counts the bytes that actually reach the underlying
@@ -132,48 +133,31 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// WriteBinary serializes g in the fnr binary v2 format. At large n it
-// is several times smaller than the text format and an order of
-// magnitude faster to read back.
-func (g *Graph) WriteBinary(w io.Writer) (int64, error) {
-	if len(g.nbrs) > math.MaxInt32 {
-		return 0, fmt.Errorf("graph: arc count %d exceeds v2 format capacity (max %d arcs; use WriteBinaryV3)", len(g.nbrs), math.MaxInt32)
-	}
-	bw := newBinaryWriter(w, binMagic, v2FlushLen, false)
-	g.emitBinarySections(bw)
-	return bw.finish()
-}
-
-// v2FlushLen is how many payload bytes the v2 writer gathers per
-// write to the underlying writer.
-const v2FlushLen = 1 << 16
-
-// binaryWriter streams the v2 and v3 binary formats. The payload
-// sections append whole varints to buf, and the varint that brings buf
-// to chunk bytes or more flushes it: in v2 as plain payload bytes, in
-// v3 as one length-prefixed, CRC-trailed frame, so v3 frame boundaries
-// always fall between varints. crc digests every wire byte, which is
-// what both formats' trailers checksum. err is sticky.
+// binaryWriter streams the v3 binary format. The payload sections
+// append whole varints to buf, and the varint that brings buf to chunk
+// bytes or more flushes it as one length-prefixed, CRC-trailed frame,
+// so frame boundaries always fall between varints. crc digests every
+// wire byte, which is what the stream trailer checksums. err is
+// sticky.
 type binaryWriter struct {
-	w      io.Writer
-	crc    hash.Hash32
-	buf    []byte
-	chunk  int
-	framed bool // v3: every flush is one frame
-	n      int64
-	err    error
+	w     io.Writer
+	crc   hash.Hash32
+	buf   []byte
+	chunk int
+	n     int64
+	err   error
 }
 
-// newBinaryWriter starts a binary stream on w with the given magic.
-func newBinaryWriter(w io.Writer, magic [8]byte, chunk int, framed bool) *binaryWriter {
+// newBinaryWriter starts a v3 stream on w, cutting frames at chunk
+// payload bytes.
+func newBinaryWriter(w io.Writer, chunk int) *binaryWriter {
 	bw := &binaryWriter{
-		w:      w,
-		crc:    crc32.New(crcTable),
-		buf:    make([]byte, 0, chunk+binary.MaxVarintLen64),
-		chunk:  chunk,
-		framed: framed,
+		w:     w,
+		crc:   crc32.New(crcTable),
+		buf:   make([]byte, 0, chunk+binary.MaxVarintLen64),
+		chunk: chunk,
 	}
-	bw.write(magic[:])
+	bw.write(binMagicV3[:])
 	return bw
 }
 
@@ -207,26 +191,20 @@ func (bw *binaryWriter) flush() {
 	if len(bw.buf) == 0 {
 		return
 	}
-	if bw.framed {
-		var hdr [binary.MaxVarintLen64]byte
-		bw.write(binary.AppendUvarint(hdr[:0], uint64(len(bw.buf))))
-		bw.write(bw.buf)
-		var fcrc [4]byte
-		bw.write(binary.LittleEndian.AppendUint32(fcrc[:0], crc32.Checksum(bw.buf, crcTable)))
-	} else {
-		bw.write(bw.buf)
-	}
+	var hdr [binary.MaxVarintLen64]byte
+	bw.write(binary.AppendUvarint(hdr[:0], uint64(len(bw.buf))))
+	bw.write(bw.buf)
+	var fcrc [4]byte
+	bw.write(binary.LittleEndian.AppendUint32(fcrc[:0], crc32.Checksum(bw.buf, crcTable)))
 	bw.buf = bw.buf[:0]
 }
 
-// finish flushes the pending payload, writes v3's end marker, then the
+// finish flushes the pending payload, writes the end marker, then the
 // CRC trailer (which checksums everything before itself, so it is not
 // folded into the digest), and reports the bytes written.
 func (bw *binaryWriter) finish() (int64, error) {
 	bw.flush()
-	if bw.framed {
-		bw.write([]byte{0})
-	}
+	bw.write([]byte{0})
 	if bw.err != nil {
 		return bw.n, bw.err
 	}
@@ -237,7 +215,7 @@ func (bw *binaryWriter) finish() (int64, error) {
 }
 
 // emitBinarySections writes the logical payload shared by the v2 and
-// v3 binary formats: the header (n, n', arcs), the delta-coded ids,
+// v3 binary formats (only v3 is written): the header (n, n', arcs), the delta-coded ids,
 // the degrees, then per vertex the ascending-neighbor gaps and the
 // sorted→port permutation.
 func (g *Graph) emitBinarySections(bw *binaryWriter) {
@@ -341,7 +319,7 @@ func (g *Graph) writeBinaryV3(w io.Writer, chunk int) (int64, error) {
 	if chunk > v3MaxChunkLen {
 		return 0, fmt.Errorf("graph: v3 chunk %d exceeds the reader's frame cap %d", chunk, v3MaxChunkLen)
 	}
-	bw := newBinaryWriter(w, binMagicV3, chunk, true)
+	bw := newBinaryWriter(w, chunk)
 	g.emitBinarySections(bw)
 	return bw.finish()
 }

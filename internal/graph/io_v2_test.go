@@ -6,21 +6,34 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
+
+// v2Of returns g's v2 encoding, built from the v3 writer: at chunk =
+// v3MaxChunkLen a test-sized graph's v3 stream is one frame, whose
+// payload is exactly v2's logical sections, so the v2 bytes are
+// binMagic ‖ payload ‖ crc32c(binMagic ‖ payload).
+func v2Of(t testing.TB, g *Graph) []byte {
+	t.Helper()
+	var v3 bytes.Buffer
+	if _, err := g.writeBinaryV3(&v3, v3MaxChunkLen); err != nil {
+		t.Fatal(err)
+	}
+	wire := v3.Bytes()[len(binMagicV3):]
+	plen, k := binary.Uvarint(wire)
+	end := k + int(plen) + 4 // frame CRC, then the end marker
+	if k <= 0 || end >= len(wire) || wire[end] != 0 {
+		t.Fatalf("the %d-byte v3 stream is not a single frame", v3.Len())
+	}
+	v2 := slices.Concat(binMagic[:], wire[k:k+int(plen)])
+	return binary.LittleEndian.AppendUint32(v2, crc32.Checksum(v2, crcTable))
+}
 
 // binaryRoundTrip encodes g in v2 binary and decodes it back.
 func binaryRoundTrip(t *testing.T, g *Graph) *Graph {
 	t.Helper()
-	var buf bytes.Buffer
-	wrote, err := g.WriteBinary(&buf)
-	if err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	if wrote != int64(buf.Len()) {
-		t.Fatalf("WriteBinary reported %d bytes, wrote %d", wrote, buf.Len())
-	}
-	h, err := Read(&buf)
+	h, err := Read(bytes.NewReader(v2Of(t, g)))
 	if err != nil {
 		t.Fatalf("Read(binary): %v", err)
 	}
@@ -68,13 +81,11 @@ func TestReadAutoDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var text, bin bytes.Buffer
+	var text bytes.Buffer
 	if _, err := g.WriteTo(&text); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.WriteBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
+	bin := bytes.NewBuffer(v2Of(t, g))
 	if bin.Len() >= text.Len() {
 		t.Errorf("binary (%d bytes) not smaller than text (%d bytes)", bin.Len(), text.Len())
 	}
@@ -82,7 +93,7 @@ func TestReadAutoDetect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read(text): %v", err)
 	}
-	hb, err := Read(&bin)
+	hb, err := Read(bin)
 	if err != nil {
 		t.Fatalf("Read(binary): %v", err)
 	}
@@ -100,11 +111,7 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := v2Of(t, g)
 	// Truncations at every interesting boundary.
 	for _, cut := range []int{1, 4, len(binMagic), len(binMagic) + 1, len(binMagic) + 3, len(valid) / 2, len(valid) - 5, len(valid) - 1} {
 		if _, err := Read(bytes.NewReader(valid[:cut])); err == nil {
@@ -214,13 +221,13 @@ func FuzzRead(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var text, bin bytes.Buffer
+	var text bytes.Buffer
 	g.WriteTo(&text)
-	g.WriteBinary(&bin)
+	bin := v2Of(f, g)
 	f.Add(text.Bytes())
-	f.Add(bin.Bytes())
-	f.Add(bin.Bytes()[:20])
-	f.Add(append(bin.Bytes()[:12], 0xff, 0xff, 0xff, 0xff, 0xff))
+	f.Add(bin)
+	f.Add(bin[:20])
+	f.Add(append(bin[:12:12], 0xff, 0xff, 0xff, 0xff, 0xff))
 	f.Add([]byte("fnr-graph v1\nn=2 nprime=2\nids 0 1\nadj 0 1\nadj 1 0\nend\n"))
 	f.Add([]byte("fnrgbin\x02"))
 	f.Add([]byte{})
@@ -292,9 +299,10 @@ func TestReadBigAdjacencyRow(t *testing.T) {
 // TestArcCountCapsByFormat pins where the seed-era 2^31 arc cap now
 // lives: not in the CSR build path (offsets are int64; see
 // TestWideOffsetsBoundaryRoundTrip for the gated proof at the real
-// boundary), but in the v1/v2 serialization formats, whose headers and
-// writers must reject wide graphs loudly before allocating anything
-// proportional to the declared width.
+// boundary), but in the v1/v2 serialization formats: a v2 header (and
+// the v1 text writer, see TestWideOffsetsBoundaryRoundTrip) must reject
+// wide graphs loudly before allocating anything proportional to the
+// declared width.
 func TestArcCountCapsByFormat(t *testing.T) {
 	// A v2 header declaring 2^31 arcs is refused at the capacity check,
 	// not with a truncation error after attempted allocation.
@@ -370,14 +378,11 @@ func TestReadAllocsPerRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var text, bin bytes.Buffer
+	var text bytes.Buffer
 	if _, err := g.WriteTo(&text); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.WriteBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"text": text.Bytes(), "binary": bin.Bytes()} {
+	for name, data := range map[string][]byte{"text": text.Bytes(), "binary": v2Of(t, g)} {
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := Read(bytes.NewReader(data)); err != nil {
 				t.Fatal(err)

@@ -27,7 +27,7 @@ func (u unsizedReader) Read(p []byte) (int, error) { return u.r.Read(p) }
 // chunk target — for feeding the reader inputs no writer produces.
 func craftBinaryV3(n, nPrime, arcs uint64, idDeltas []int64, degrees []uint64, rows []uint64, chunk int) []byte {
 	var buf bytes.Buffer
-	bw := newBinaryWriter(&buf, binMagicV3, chunk, true)
+	bw := newBinaryWriter(&buf, chunk)
 	putU := func(x uint64) { bw.buf = bw.put(binary.AppendUvarint(bw.buf, x)) }
 	putU(n)
 	putU(nPrime)
@@ -99,14 +99,12 @@ func TestBinaryV3MatchesV2Payload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2, v3 bytes.Buffer
-	if _, err := g.WriteBinary(&v2); err != nil {
-		t.Fatal(err)
-	}
+	var v3 bytes.Buffer
 	if _, err := g.WriteBinaryV3(&v3); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := Read(bytes.NewReader(v2.Bytes()))
+	v2 := v2Of(t, g)
+	h2, err := Read(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +117,8 @@ func TestBinaryV3MatchesV2Payload(t *testing.T) {
 	}
 	// One frame here: overhead = length varint + frame CRC + end
 	// marker + stream CRC ≈ 12 bytes over v2's 4-byte trailer.
-	if v3.Len() > v2.Len()+32 {
-		t.Errorf("v3 (%d bytes) much larger than v2 (%d bytes)", v3.Len(), v2.Len())
+	if v3.Len() > len(v2)+32 {
+		t.Errorf("v3 (%d bytes) much larger than v2 (%d bytes)", v3.Len(), len(v2))
 	}
 }
 
@@ -344,11 +342,8 @@ func TestReadStampsGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var text, v2, v3 bytes.Buffer
+	var text, v3 bytes.Buffer
 	if _, err := g.WriteTo(&text); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.WriteBinary(&v2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.WriteBinaryV3(&v3); err != nil {
@@ -361,7 +356,7 @@ func TestReadStampsGraphs(t *testing.T) {
 	for _, f := range []struct {
 		name string
 		data []byte
-	}{{"v1 text", text.Bytes()}, {"v2", v2.Bytes()}, {"v3", v3.Bytes()}, {"v3 again", v3.Bytes()}} {
+	}{{"v1 text", text.Bytes()}, {"v2", v2Of(t, g)}, {"v3", v3.Bytes()}, {"v3 again", v3.Bytes()}} {
 		h, err := Read(bytes.NewReader(f.data))
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
@@ -380,8 +375,9 @@ func TestReadStampsGraphs(t *testing.T) {
 // chunk targets that cut frames after every varint, mid-row, and not
 // at all — for an identity-named and a permuted-ID planted graph with
 // multi-byte ports, so a writer change that still round-trips cannot
-// move the framing or the payload unnoticed. Values are sha256
-// prefixes.
+// move the framing or the payload unnoticed. The v2 bytes are rebuilt
+// from a single v3 frame (v2Of), so their pin holds the v3 payload to
+// the v2 files already on disk. Values are sha256 prefixes.
 func TestBinaryEncodingsPinned(t *testing.T) {
 	g, err := PlantedMinDegree(300, 140, rand.New(rand.NewPCG(5, 6)))
 	if err != nil {
@@ -401,11 +397,8 @@ func TestBinaryEncodingsPinned(t *testing.T) {
 		for chunk, w := range want[name] {
 			var buf bytes.Buffer
 			if chunk == 0 {
-				_, err = g.WriteBinary(&buf)
-			} else {
-				_, err = g.writeBinaryV3(&buf, chunk)
-			}
-			if err != nil {
+				buf.Write(v2Of(t, g))
+			} else if _, err = g.writeBinaryV3(&buf, chunk); err != nil {
 				t.Fatal(err)
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))[:16]; got != w {

@@ -16,103 +16,105 @@ import (
 // The last case is the k=3 delayed-wakeup team spec CI's server-smoke
 // job submits to a live fnrd, whose served spec_hash must equal this
 // literal; its workload key is the reference spec's.
+var goldenSpecs = []struct {
+	name      string
+	spec      job.Spec
+	canonical string
+	hash      string
+	wkey      string
+}{
+	{
+		name: "reference",
+		spec: job.Spec{
+			Algorithm: "whiteboard",
+			Workload:  &job.Workload{N: 1024, D: 181, Seed: 7},
+			Trials:    200,
+			Seed:      7,
+		},
+		canonical: `{"algorithm":"whiteboard","workload":{"kind":"planted","n":1024,"d":181,"seed":7},"trials":200,"seed":7}`,
+		hash:      "ba103599e726217cf177ff117640f2efc3943cca64812c731234a347fce0fda4",
+		wkey:      "efc2a522f4caa1278292b4bfcd1b598f11cadb2183cbed744c9ccb61a0cd9cea",
+	},
+	{
+		name: "defaultkind",
+		spec: job.Spec{
+			Algorithm: "sweep",
+			Workload:  &job.Workload{N: 64, D: 8, Seed: 3},
+			Trials:    10,
+			Seed:      4,
+			Params:    "practical",
+		},
+		canonical: `{"algorithm":"sweep","workload":{"kind":"planted","n":64,"d":8,"seed":3},"trials":10,"seed":4}`,
+		hash:      "f019264bff91e7b2f29f7325639a18174474c3662bb39596b0b3fbda27734cb0",
+		wkey:      "8031628c497828440991791eb7400e10af339279dddc2b02b39f3fa38986a329",
+	},
+	{
+		name: "starts-shard-faults",
+		spec: job.Spec{
+			Algorithm:  "walkpair",
+			Workload:   &job.Workload{N: 128, D: 8, Seed: 11},
+			StartA:     intp(3),
+			StartB:     intp(17),
+			Trials:     500,
+			Seed:       11,
+			ShardIndex: 1,
+			ShardCount: 3,
+			Faults:     "panic:p=0.01,stall:p=0.02,builderr:p=0.005",
+			FaultSeed:  9,
+			Checkpoint: "x.ckpt",
+		},
+		canonical: `{"algorithm":"walkpair","workload":{"kind":"planted","n":128,"d":8,"seed":11},"start_a":3,"start_b":17,"trials":500,"seed":11,"shard_index":1,"shard_count":3,"faults":"panic:p=0.01,stall:p=0.02,builderr:p=0.005","fault_seed":9,"checkpoint":"x.ckpt"}`,
+		hash:      "7f7784eb1ae791918d6280c2e91ff9daf3d04724042e7523254f3a66b4826ea8",
+		wkey:      "778d4a9c83f40a5fc919b8c14ed6aa790f0acb8470a0f742b3350df0580e9d2d",
+	},
+	{
+		name: "graphref-paper",
+		spec: job.Spec{
+			Algorithm: "noboard",
+			GraphRef:  "abc123",
+			Trials:    7,
+			Seed:      1,
+			Delta:     32,
+			MaxRounds: 5000,
+			Params:    "paper",
+		},
+		canonical: `{"algorithm":"noboard","graph_ref":"abc123","trials":7,"seed":1,"delta":32,"max_rounds":5000,"params":"paper"}`,
+		hash:      "f0c2d0d31d17c92125b8463ff22fcc4b160d9339d4b9c74b38aeb434a40700ed",
+		wkey:      "abc123",
+	},
+	{
+		name: "harness-stream",
+		spec: job.Spec{
+			Algorithm: "dfs",
+			Workload:  &job.Workload{Kind: "ring", N: 33, Seed: 2, Stream: 11400714819323198485},
+			Trials:    12,
+			Seed:      6,
+		},
+		canonical: `{"algorithm":"dfs","workload":{"kind":"ring","n":33,"seed":2,"stream":11400714819323198485},"trials":12,"seed":6}`,
+		hash:      "7d11304caea37488242f3308dc7c6ca0d221577e5177b83d54b8816d59eac3fc",
+		wkey:      "b44a7e689aaefbc4449795c845c26912aa76a645b158118870eef08dc66254cb",
+	},
+	{
+		name: "team-scenario",
+		spec: job.Spec{
+			Algorithm:  "walkpair",
+			Workload:   &job.Workload{N: 1024, D: 181, Seed: 7},
+			Trials:     64,
+			Seed:       7,
+			Agents:     3,
+			WakeDelays: []int64{0, 0, 256},
+			Meet:       "firstpair",
+		},
+		canonical: `{"algorithm":"walkpair","workload":{"kind":"planted","n":1024,"d":181,"seed":7},"trials":64,"seed":7,"agents":3,"wake_delays":[0,0,256],"meet":"firstpair"}`,
+		hash:      "706be97f583039a7309b30312ebbae76cff065935f961e4fb26fda9a6a12cd30",
+		wkey:      "efc2a522f4caa1278292b4bfcd1b598f11cadb2183cbed744c9ccb61a0cd9cea",
+	},
+}
+
+func intp(v int) *int { return &v }
+
 func TestGoldenSpecHashesPreScenario(t *testing.T) {
-	intp := func(v int) *int { return &v }
-	cases := []struct {
-		name      string
-		spec      job.Spec
-		canonical string
-		hash      string
-		wkey      string
-	}{
-		{
-			name: "reference",
-			spec: job.Spec{
-				Algorithm: "whiteboard",
-				Workload:  &job.Workload{N: 1024, D: 181, Seed: 7},
-				Trials:    200,
-				Seed:      7,
-			},
-			canonical: `{"algorithm":"whiteboard","workload":{"kind":"planted","n":1024,"d":181,"seed":7},"trials":200,"seed":7}`,
-			hash:      "ba103599e726217cf177ff117640f2efc3943cca64812c731234a347fce0fda4",
-			wkey:      "efc2a522f4caa1278292b4bfcd1b598f11cadb2183cbed744c9ccb61a0cd9cea",
-		},
-		{
-			name: "defaultkind",
-			spec: job.Spec{
-				Algorithm: "sweep",
-				Workload:  &job.Workload{N: 64, D: 8, Seed: 3},
-				Trials:    10,
-				Seed:      4,
-				Params:    "practical",
-			},
-			canonical: `{"algorithm":"sweep","workload":{"kind":"planted","n":64,"d":8,"seed":3},"trials":10,"seed":4}`,
-			hash:      "f019264bff91e7b2f29f7325639a18174474c3662bb39596b0b3fbda27734cb0",
-			wkey:      "8031628c497828440991791eb7400e10af339279dddc2b02b39f3fa38986a329",
-		},
-		{
-			name: "starts-shard-faults",
-			spec: job.Spec{
-				Algorithm:  "walkpair",
-				Workload:   &job.Workload{N: 128, D: 8, Seed: 11},
-				StartA:     intp(3),
-				StartB:     intp(17),
-				Trials:     500,
-				Seed:       11,
-				ShardIndex: 1,
-				ShardCount: 3,
-				Faults:     "panic:p=0.01,stall:p=0.02,builderr:p=0.005",
-				FaultSeed:  9,
-				Checkpoint: "x.ckpt",
-			},
-			canonical: `{"algorithm":"walkpair","workload":{"kind":"planted","n":128,"d":8,"seed":11},"start_a":3,"start_b":17,"trials":500,"seed":11,"shard_index":1,"shard_count":3,"faults":"panic:p=0.01,stall:p=0.02,builderr:p=0.005","fault_seed":9,"checkpoint":"x.ckpt"}`,
-			hash:      "7f7784eb1ae791918d6280c2e91ff9daf3d04724042e7523254f3a66b4826ea8",
-			wkey:      "778d4a9c83f40a5fc919b8c14ed6aa790f0acb8470a0f742b3350df0580e9d2d",
-		},
-		{
-			name: "graphref-paper",
-			spec: job.Spec{
-				Algorithm: "noboard",
-				GraphRef:  "abc123",
-				Trials:    7,
-				Seed:      1,
-				Delta:     32,
-				MaxRounds: 5000,
-				Params:    "paper",
-			},
-			canonical: `{"algorithm":"noboard","graph_ref":"abc123","trials":7,"seed":1,"delta":32,"max_rounds":5000,"params":"paper"}`,
-			hash:      "f0c2d0d31d17c92125b8463ff22fcc4b160d9339d4b9c74b38aeb434a40700ed",
-			wkey:      "abc123",
-		},
-		{
-			name: "harness-stream",
-			spec: job.Spec{
-				Algorithm: "dfs",
-				Workload:  &job.Workload{Kind: "ring", N: 33, Seed: 2, Stream: 11400714819323198485},
-				Trials:    12,
-				Seed:      6,
-			},
-			canonical: `{"algorithm":"dfs","workload":{"kind":"ring","n":33,"seed":2,"stream":11400714819323198485},"trials":12,"seed":6}`,
-			hash:      "7d11304caea37488242f3308dc7c6ca0d221577e5177b83d54b8816d59eac3fc",
-			wkey:      "b44a7e689aaefbc4449795c845c26912aa76a645b158118870eef08dc66254cb",
-		},
-		{
-			name: "team-scenario",
-			spec: job.Spec{
-				Algorithm:  "walkpair",
-				Workload:   &job.Workload{N: 1024, D: 181, Seed: 7},
-				Trials:     64,
-				Seed:       7,
-				Agents:     3,
-				WakeDelays: []int64{0, 0, 256},
-				Meet:       "firstpair",
-			},
-			canonical: `{"algorithm":"walkpair","workload":{"kind":"planted","n":1024,"d":181,"seed":7},"trials":64,"seed":7,"agents":3,"wake_delays":[0,0,256],"meet":"firstpair"}`,
-			hash:      "706be97f583039a7309b30312ebbae76cff065935f961e4fb26fda9a6a12cd30",
-			wkey:      "efc2a522f4caa1278292b4bfcd1b598f11cadb2183cbed744c9ccb61a0cd9cea",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenSpecs {
 		data, err := tc.spec.CanonicalJSON()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

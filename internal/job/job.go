@@ -23,6 +23,7 @@
 package job
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -599,8 +600,8 @@ type Result struct {
 }
 
 // Aggregate renders the result's deterministic summary — identical
-// bytes to fnr.RunBatchReduced followed by Aggregate on the same
-// batch, whatever entry point produced the reducer.
+// bytes to fnr.RunBatch on the same batch, whatever entry point
+// produced the reducer.
 func (r *Result) Aggregate() *engine.Aggregate {
 	return r.Reducer.Aggregate(r.Batch)
 }
@@ -615,36 +616,27 @@ func Run(ctx context.Context, s Spec, opt ExecOptions) (*Result, error) {
 }
 
 // RunBuilt executes the spec on an already-materialized workload
-// (typically a graph-cache hit), routing on the checkpoint policy:
-// plain specs run through engine.RunReduced, specs with a Checkpoint
-// or Resume path through engine.RunCheckpointed (Resume loads the
-// prior journal first and only its uncovered trial spans re-run).
-// Cancelling ctx returns the partial Result completed so far together
-// with ctx.Err() — checkpointed runs flush their journal before
-// returning, so a cancelled job resubmitted with Resume set finishes
-// byte-identical to an uninterrupted run.
+// (typically a graph-cache hit) through engine.RunReduced. A Resume
+// path loads the prior journal first, so only its uncovered trial
+// spans re-run; the journal goes to Checkpoint, or back to Resume when
+// Checkpoint is empty. Cancelling ctx returns the partial Result
+// completed so far together with ctx.Err() — a journalled run flushes
+// before returning, so a cancelled job resubmitted with Resume set
+// finishes byte-identical to an uninterrupted run.
 func RunBuilt(ctx context.Context, s Spec, m Materialized, opt ExecOptions) (*Result, error) {
 	s = s.Normalize()
 	b, err := s.Batch(m, opt)
 	if err != nil {
 		return nil, err
 	}
-	var r *engine.Reducer
-	if s.Checkpoint != "" || s.Resume != "" {
-		var prior *engine.Reducer
-		if s.Resume != "" {
-			if prior, err = engine.ReadCheckpointFile(s.Resume, b); err != nil {
-				return nil, fmt.Errorf("job: resume: %w", err)
-			}
+	var prior *engine.Reducer
+	if s.Resume != "" {
+		if prior, err = engine.ReadCheckpointFile(s.Resume, b); err != nil {
+			return nil, fmt.Errorf("job: resume: %w", err)
 		}
-		ck := engine.Checkpoint{Path: s.Checkpoint, Every: s.CheckpointEvery}
-		if ck.Path == "" {
-			ck.Path = s.Resume
-		}
-		r, err = engine.RunCheckpointed(ctx, b, ck, prior)
-	} else {
-		r, err = engine.RunReduced(ctx, b)
 	}
+	ck := engine.Checkpoint{Path: cmp.Or(s.Checkpoint, s.Resume), Every: s.CheckpointEvery}
+	r, err := engine.RunReduced(ctx, b, ck, prior)
 	if r == nil {
 		return nil, err
 	}

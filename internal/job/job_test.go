@@ -239,7 +239,7 @@ func TestRunMatchesEngineReduced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := engine.RunReduced(context.Background(), b)
+	r, err := engine.RunReduced(context.Background(), b, engine.Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

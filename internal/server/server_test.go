@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fnr"
+	"fnr/internal/engine"
 	"fnr/internal/graphcache"
 	"fnr/internal/job"
 )
@@ -98,8 +99,8 @@ func cancelBatch(t *testing.T, url, id string) {
 }
 
 // inProcessAggregate runs the spec through the public CLI path —
-// fnr.RunBatchReduced on the spec's own batch — and marshals the
-// aggregate: the bytes the server must reproduce exactly.
+// fnr.RunBatch on the spec's own batch — and marshals the aggregate:
+// the bytes the server must reproduce exactly.
 func inProcessAggregate(t *testing.T, spec job.Spec) []byte {
 	t.Helper()
 	m, err := spec.Materialize()
@@ -110,11 +111,11 @@ func inProcessAggregate(t *testing.T, spec job.Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := fnr.RunBatchReduced(b)
+	agg, err := fnr.RunBatch(t.Context(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(r.Aggregate(b))
+	data, err := json.Marshal(agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func assertSpecHash(t *testing.T, st statusResponse, spec job.Spec) {
 
 // TestSubmitPollAggregateByteIdentical is the acceptance pin: a batch
 // submitted over HTTP returns aggregate JSON byte-identical to the
-// same job.Spec run in-process via fnr.RunBatchReduced, and a second
+// same job.Spec run in-process via fnr.RunBatch, and a second
 // request for the same workload hash hits the graph cache (build
 // count stays 1).
 func TestSubmitPollAggregateByteIdentical(t *testing.T) {
@@ -159,7 +160,7 @@ func TestSubmitPollAggregateByteIdentical(t *testing.T) {
 	final := pollUntil(t, ts.URL, st.ID, stateDone)
 	want := inProcessAggregate(t, spec)
 	if string(final.Aggregate) != string(want) {
-		t.Fatalf("HTTP aggregate differs from in-process fnr.RunBatchReduced:\n%s\n%s", final.Aggregate, want)
+		t.Fatalf("HTTP aggregate differs from in-process fnr.RunBatch:\n%s\n%s", final.Aggregate, want)
 	}
 	assertSpecHash(t, final, spec)
 
@@ -404,7 +405,7 @@ func TestDrainJournalsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := fnr.ReadBatchCheckpoint(ckpt, b)
+	r, err := engine.ReadCheckpointFile(ckpt, b)
 	if err != nil {
 		t.Fatalf("journal unreadable after drain: %v", err)
 	}
