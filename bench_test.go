@@ -89,6 +89,12 @@ func BenchmarkPlantedMinDegree(b *testing.B) {
 	}
 }
 
+// haltStepper is an idle partner that halts at round 0.
+type haltStepper struct{}
+
+func (haltStepper) Init(*sim.StepContext)     {}
+func (haltStepper) Next(*sim.View) sim.Action { return sim.Halt() }
+
 // BenchmarkConstruct measures one full Construct run (the dominant cost
 // of the Theorem-1 algorithm) at n=256, δ=n^0.75.
 func BenchmarkConstruct(b *testing.B) {
@@ -97,13 +103,12 @@ func BenchmarkConstruct(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ghost := func(e *sim.Env) {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := sim.Run(sim.Config{
+		_, err := sim.RunSteppers(sim.Config{
 			Graph: g, StartA: 0, StartB: 1, NeighborIDs: true,
 			Seed: uint64(i), MaxRounds: 1 << 40, DisableMeeting: true,
-		}, core.ConstructOnly(core.PracticalParams(), core.Knowledge{Delta: g.MinDegree()}, nil), ghost)
+		}, core.ConstructOnlyStepper(core.PracticalParams(), core.Knowledge{Delta: g.MinDegree()}, nil), haltStepper{})
 		if err != nil {
 			b.Fatal(err)
 		}

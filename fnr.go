@@ -306,7 +306,7 @@ type (
 	AlgorithmSpec = algo.Spec
 	// AlgorithmCaps declares a strategy's simulation capabilities.
 	AlgorithmCaps = algo.Caps
-	// AlgorithmBuildOpts carries per-run inputs to a Build function.
+	// AlgorithmBuildOpts carries per-run inputs to a spec's builder.
 	AlgorithmBuildOpts = algo.BuildOpts
 )
 
@@ -318,20 +318,16 @@ type (
 // value, which collides with AlgWhiteboard's rank — panics at
 // registration.
 //
-// A spec describes its agents two ways:
+// A spec describes its agents in exactly one of two ways (registration
+// panics on both or neither):
 //
-//   - Build (required) constructs direct-style Programs: ordinary Go
-//     functions, easiest to write and read, each hosted on a coroutine
-//     (ProgramStepper) wherever it runs — Rendezvous, RunPrograms and
-//     batches alike.
-//   - BuildSteppers constructs the state-machine Steppers that
-//     RunBatch steps inline, with per-trial scratch reuse. Left nil,
-//     registration hosts the Build programs on coroutines
-//     (ProgramStepper); a native state machine saves that per-trial
-//     coroutine setup.
-//
-// A spec that provides both must keep them behaviorally identical
-// (same actions, same RNG draw order).
+//   - Build constructs direct-style Programs: ordinary Go functions,
+//     easiest to write and read. Registration lifts them onto
+//     coroutines (ProgramStepper), so they run wherever the strategy
+//     runs — Rendezvous and batches alike.
+//   - BuildSteppers constructs state-machine Steppers, stepped inline
+//     with per-trial scratch reuse and no coroutine setup. Every
+//     built-in strategy takes this form.
 var RegisterAlgorithm = algo.Register
 
 // Options tunes a Rendezvous run. The zero value is usable for every
@@ -378,8 +374,9 @@ func buildOpts(opt Options) algo.BuildOpts {
 // startA and startB (which the paper's algorithms require to be
 // adjacent) and reports the outcome. The strategy is resolved through
 // the registry: its declared capabilities configure the simulation
-// (neighbor-ID visibility, whiteboards) and its Build constructs the
-// program pair.
+// (neighbor-ID visibility, whiteboards) and its BuildSteppers
+// constructs the stepper pair — the same steppers a batch trial runs,
+// so a single run at seed s equals a batch trial run at seed s.
 func Rendezvous(g *Graph, startA, startB Vertex, a Algorithm, opt Options) (*Result, error) {
 	if g == nil {
 		return nil, errors.New("fnr: nil graph")
@@ -388,11 +385,11 @@ func Rendezvous(g *Graph, startA, startB Vertex, a Algorithm, opt Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	progA, progB, err := spec.Programs(buildOpts(opt))
+	sa, sb, err := spec.Steppers(buildOpts(opt))
 	if err != nil {
 		return nil, fmt.Errorf("fnr: %w", err)
 	}
-	return sim.Run(sim.Config{
+	return sim.RunSteppers(sim.Config{
 		Graph:       g,
 		StartA:      startA,
 		StartB:      startB,
@@ -401,7 +398,7 @@ func Rendezvous(g *Graph, startA, startB Vertex, a Algorithm, opt Options) (*Res
 		MaxRounds:   opt.MaxRounds,
 		Seed:        opt.Seed,
 		Observer:    opt.Observer,
-	}, progA, progB)
+	}, sa, sb)
 }
 
 // Batch-execution surface, re-exported from the engine.

@@ -11,9 +11,8 @@
 //		algo.Register(algo.Spec{
 //			Name: "sweep",
 //			Caps: algo.Caps{NeighborIDs: true},
-//			Build: func(o algo.BuildOpts) (a, b sim.Program, err error) {
-//				a, b = StayAndSweep()
-//				return a, b, nil
+//			BuildSteppers: func(o algo.BuildOpts) (a, b sim.Stepper, err error) {
+//				return StayerStepper(), SweepStepper(), nil
 //			},
 //		})
 //	}
@@ -33,8 +32,9 @@ import (
 	"fnr/internal/sim"
 )
 
-// ErrDeltaRequired is returned (wrapped) by Build when a strategy
-// whose Caps.NeedsDelta is set is built without a positive Delta.
+// ErrDeltaRequired is returned (wrapped) by Steppers and Team when a
+// strategy whose Caps.NeedsDelta is set is built without a positive
+// Delta.
 var ErrDeltaRequired = errors.New("algorithm requires a known minimum degree δ (Delta)")
 
 // ErrUnknown is returned (wrapped) when a name resolves to no
@@ -89,17 +89,16 @@ type Spec struct {
 	Summary string
 	// Caps declares the simulation capabilities the strategy needs.
 	Caps Caps
-	// Build constructs a fresh program pair for one run. Programs are
-	// stateful closures: call Build once per trial.
+	// Build constructs a fresh direct-style program pair for one run
+	// (programs are stateful closures). A spec sets exactly one of
+	// Build and BuildSteppers; Register lifts a Build-only spec with
+	// SteppersFromPrograms, so its programs run on coroutines wherever
+	// the strategy runs. The built-in strategies use BuildSteppers.
 	Build func(o BuildOpts) (a, b sim.Program, err error)
-	// BuildSteppers constructs the strategy as a pair of
-	// state-machine steppers, the form the engine runs. It must be
-	// behaviorally identical to Build — same action sequence, same
-	// RNG draw order — so that a single run and a batch trial agree
-	// (internal/engine's differential suite enforces this for every
-	// registered strategy). Register fills a nil BuildSteppers with
-	// SteppersFromPrograms(Build), which hosts the Programs on
-	// coroutines; native state machines skip that per-trial setup.
+	// BuildSteppers constructs a fresh pair of state-machine steppers
+	// for one run: the form every entry point runs — single runs
+	// (fnr.Rendezvous) and batch trials alike, so the two agree by
+	// construction.
 	BuildSteppers func(o BuildOpts) (a, b sim.Stepper, err error)
 	// BuildTeam, when non-nil, constructs the strategy for a k-agent
 	// scenario (k > 2): one stepper per agent, in team order. It is
@@ -112,25 +111,13 @@ type Spec struct {
 	BuildTeam func(o BuildOpts, k int) ([]sim.Stepper, error)
 }
 
-// check validates the NeedsDelta capability; Build implementations
-// call it (via Spec.Programs) so the error is uniform.
+// check validates the NeedsDelta capability before any builder runs
+// (via Steppers and Team), so the error is uniform.
 func (s Spec) check(o BuildOpts) error {
 	if s.Caps.NeedsDelta && o.Delta <= 0 {
 		return fmt.Errorf("algo %q: %w", s.Name, ErrDeltaRequired)
 	}
 	return nil
-}
-
-// Programs builds a fresh program pair after validating o against the
-// spec's capabilities. Prefer this over calling Build directly.
-func (s Spec) Programs(o BuildOpts) (a, b sim.Program, err error) {
-	if err := s.check(o); err != nil {
-		return nil, nil, err
-	}
-	if o.Params == (core.Params{}) {
-		o.Params = core.PracticalParams()
-	}
-	return s.Build(o)
 }
 
 // Steppers builds a fresh stepper pair after validating o against the
@@ -193,9 +180,9 @@ func (s Spec) SupportsTeam() bool { return s.BuildTeam != nil }
 
 // SteppersFromPrograms lifts a Program-pair builder into a
 // stepper-pair builder by hosting each program on a lightweight
-// coroutine (sim.NewProgramStepper): direct-style strategies run in
-// the engine without being rewritten as state machines. Register
-// applies it to every spec that leaves BuildSteppers nil.
+// coroutine (sim.NewProgramStepper): direct-style strategies run
+// everywhere without being rewritten as state machines. Register
+// applies it to every Build-only spec.
 func SteppersFromPrograms(build func(o BuildOpts) (a, b sim.Program, err error)) func(o BuildOpts) (a, b sim.Stepper, err error) {
 	return func(o BuildOpts) (sim.Stepper, sim.Stepper, error) {
 		a, b, err := build(o)
@@ -211,18 +198,19 @@ var (
 	registry = map[string]Spec{}
 )
 
-// Register adds a spec to the registry, filling a nil BuildSteppers
-// with SteppersFromPrograms(Build). It panics on an empty name, a nil
-// Build, a duplicate name, or a duplicate Order — all programmer
-// errors at init time. The Order check is what keeps fnr.Algorithm
-// values stable: an unset (zero) Order on a third-party spec would
-// otherwise sort among the built-ins and renumber them.
+// Register adds a spec to the registry, lifting a Build-only spec
+// with SteppersFromPrograms(Build). It panics on an empty name, on a
+// spec that sets both or neither of Build and BuildSteppers, on a
+// duplicate name, or on a duplicate Order — all programmer errors at
+// init time. The Order check is what keeps fnr.Algorithm values
+// stable: an unset (zero) Order on a third-party spec would otherwise
+// sort among the built-ins and renumber them.
 func Register(s Spec) {
 	if s.Name == "" {
 		panic("algo: Register with empty name")
 	}
-	if s.Build == nil {
-		panic(fmt.Sprintf("algo: Register(%q) with nil Build", s.Name))
+	if (s.Build == nil) == (s.BuildSteppers == nil) {
+		panic(fmt.Sprintf("algo: Register(%q) needs exactly one of Build and BuildSteppers", s.Name))
 	}
 	if s.BuildSteppers == nil {
 		s.BuildSteppers = SteppersFromPrograms(s.Build)

@@ -6,14 +6,11 @@
 //
 //	import _ "fnr/internal/algo/paper"
 //
-// Both algorithms register twice over: Build constructs the
-// direct-style Program pair (the readable reference implementation),
-// while BuildSteppers constructs the native state-machine steppers of
-// core's stepper_a.go / stepper_b.go — no per-trial iter.Pull
-// coroutine, no program-closure setup, which is what the engine's
-// fast path runs. The two forms are held byte-identical (actions, RNG
-// draw order, stats) by the differential suites in internal/engine
-// and internal/core.
+// Both algorithms register their state-machine steppers
+// (core.WhiteboardSteppers and core.NoboardSteppers), the one form
+// single runs and batches execute. Their direct-style Program
+// references live in internal/core's tests, held to the steppers
+// action for action, RNG draw for draw and stat for stat.
 package paper
 
 import (
@@ -23,34 +20,23 @@ import (
 )
 
 func init() {
-	buildWhiteboard := func(o algo.BuildOpts) (a, b sim.Program, err error) {
-		// Delta ≤ 0 falls back to the §4.1 doubling estimation.
-		know := core.Knowledge{Delta: o.Delta, Doubling: o.Delta <= 0}
-		a, b = core.WhiteboardAgents(o.Params, know, o.WhiteboardStats)
-		return a, b, nil
-	}
 	algo.Register(algo.Spec{
 		Name:    "whiteboard",
 		Order:   0,
 		Summary: "Theorem 1: Construct + Main-Rendezvous, O(n/δ·log²n + √(n∆/δ)·log n) w.h.p.; needs whiteboards and neighbor IDs",
 		Caps:    algo.Caps{NeighborIDs: true, Whiteboards: true},
-		Build:   buildWhiteboard,
 		BuildSteppers: func(o algo.BuildOpts) (a, b sim.Stepper, err error) {
+			// Delta ≤ 0 falls back to the §4.1 doubling estimation.
 			know := core.Knowledge{Delta: o.Delta, Doubling: o.Delta <= 0}
 			a, b = core.WhiteboardSteppers(o.Params, know, o.WhiteboardStats)
 			return a, b, nil
 		},
 	})
-	buildNoboard := func(o algo.BuildOpts) (a, b sim.Program, err error) {
-		a, b = core.NoboardAgents(o.Params, o.Delta, o.NoboardStats)
-		return a, b, nil
-	}
 	algo.Register(algo.Spec{
 		Name:    "noboard",
 		Order:   1,
 		Summary: "Theorem 2: whiteboard-free rendezvous, O(n/√δ·log²n) w.h.p.; needs neighbor IDs, tight naming and known δ",
 		Caps:    algo.Caps{NeighborIDs: true, NeedsDelta: true},
-		Build:   buildNoboard,
 		BuildSteppers: func(o algo.BuildOpts) (a, b sim.Stepper, err error) {
 			a, b = core.NoboardSteppers(o.Params, o.Delta, o.NoboardStats)
 			return a, b, nil

@@ -9,6 +9,12 @@ import (
 	"fnr/internal/sim"
 )
 
+// haltStepper is an idle partner that halts at round 0.
+type haltStepper struct{}
+
+func (haltStepper) Init(*sim.StepContext)     {}
+func (haltStepper) Next(*sim.View) sim.Action { return sim.Halt() }
+
 func TestStayAndSweepMeetsWithinTwoDelta(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,8 +35,8 @@ func TestStayAndSweepMeetsWithinTwoDelta(t *testing.T) {
 			}
 			pairs := graph.PairsAtDistance(g, 1, 3)
 			for _, pr := range pairs {
-				a, b := StayAndSweep()
-				res, err := sim.Run(sim.Config{
+				a, b := StayerStepper(), SweepStepper()
+				res, err := sim.RunSteppers(sim.Config{
 					Graph: g, StartA: pr[0], StartB: pr[1],
 					NeighborIDs: true, MaxRounds: int64(4*g.MaxDegree() + 8),
 				}, a, b)
@@ -58,8 +64,8 @@ func TestStayAndDFSMeetsAtAnyDistance(t *testing.T) {
 		if len(pairs) == 0 {
 			t.Fatalf("no pairs at distance %d", d)
 		}
-		a, b := StayAndDFS()
-		res, err := sim.Run(sim.Config{
+		a, b := StayerStepper(), DFSStepper()
+		res, err := sim.RunSteppers(sim.Config{
 			Graph: g, StartA: pairs[0][0], StartB: pairs[0][1],
 			NeighborIDs: true, MaxRounds: int64(4 * g.N()),
 		}, a, b)
@@ -82,11 +88,11 @@ func TestDFSVisitsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make(map[graph.Vertex]bool)
-	_, err = sim.Run(sim.Config{
+	_, err = sim.RunSteppers(sim.Config{
 		Graph: g, StartA: 0, StartB: 0,
 		NeighborIDs: true, MaxRounds: int64(4 * g.N()), DisableMeeting: true,
 		Observer: func(ev sim.RoundEvent) { seen[ev.PosA] = true },
-	}, DFSExplorer(), func(e *sim.Env) {})
+	}, DFSStepper(), haltStepper{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +106,8 @@ func TestRandomWalksWorkInKT0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := RandomWalkPair()
-	res, err := sim.Run(sim.Config{
+	a, b := RandomWalkerStepper(), RandomWalkerStepper()
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: 0, StartB: 5,
 		NeighborIDs: false, // KT0: walkers navigate by ports only
 		Seed:        11,
@@ -119,8 +125,8 @@ func TestStayAndWalkMeets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := StayAndWalk()
-	res, err := sim.Run(sim.Config{
+	a, b := StayerStepper(), RandomWalkerStepper()
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: 0, StartB: 1, Seed: 3,
 	}, a, b)
 	if err != nil {
@@ -137,8 +143,8 @@ func TestBirthdayOnComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(0); seed < 5; seed++ {
-		a, b := BirthdayAgents()
-		res, err := sim.Run(sim.Config{
+		a, b := BirthdayStepperA(), BirthdayStepperB()
+		res, err := sim.RunSteppers(sim.Config{
 			Graph: g, StartA: 0, StartB: 1,
 			NeighborIDs: true, Whiteboards: true, Seed: seed,
 			MaxRounds: 1 << 20,
@@ -162,8 +168,8 @@ func TestSweepProperty(t *testing.T) {
 			return false
 		}
 		pairs := graph.PairsAtDistance(g, 1, 1)
-		a, b := StayAndSweep()
-		res, err := sim.Run(sim.Config{
+		a, b := StayerStepper(), SweepStepper()
+		res, err := sim.RunSteppers(sim.Config{
 			Graph: g, StartA: pairs[0][0], StartB: pairs[0][1],
 			NeighborIDs: true, Seed: seed, MaxRounds: int64(4*g.MaxDegree() + 8),
 		}, a, b)
@@ -182,9 +188,9 @@ func TestRandomWalkerOnIsolatedVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sim.Config{
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: 0, StartB: 1, MaxRounds: 20,
-	}, RandomWalker(), Stayer())
+	}, RandomWalkerStepper(), StayerStepper())
 	if err != nil {
 		t.Fatal(err)
 	}

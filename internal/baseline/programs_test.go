@@ -1,20 +1,14 @@
-// Package baseline implements the reference strategies the paper's
-// algorithms are measured against:
-//
-//   - StayAndSweep: the trivial O(∆) neighborhood sweep the paper's
-//     introduction cites as the baseline to beat,
-//   - StayAndDFS: rendezvous by full graph exploration (the
-//     "existentially optimal" O(n) strategy of §1.1),
-//   - StayAndWalk / RandomWalkPair: random-walk rendezvous (meeting
-//     time), usable in the KT0 model because they navigate by ports,
-//   - BirthdayAgents: the whiteboard birthday-paradox strategy for
-//     complete graphs standing in for Anderson–Weber [6], which the
-//     paper generalizes.
 package baseline
 
 import (
 	"fnr/internal/sim"
 )
+
+// This file is the Program oracle of the baselines: each strategy in
+// direct style against sim.Env. Production registers and runs only the
+// steppers of steppers.go; TestSteppersMatchProgramsExactly holds each
+// stepper to its program here, action for action and RNG draw for
+// draw.
 
 // StayAndSweep returns the trivial O(∆) neighborhood-rendezvous pair:
 // agent a stays home; agent b visits each neighbor of its start vertex

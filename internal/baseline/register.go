@@ -8,20 +8,13 @@ import (
 // The baselines self-register with the strategy registry; importing
 // this package (blank imports included) is enough to make them
 // resolvable by name. Orders 2–6 preserve the historical
-// fnr.Algorithm constant values. Every baseline registers three
-// forms: Build (direct-style programs, hosted on coroutines),
-// BuildSteppers (the native state machines of steppers.go, the
-// engine's fast path), and BuildTeam — the baselines are all
+// fnr.Algorithm constant values. Every baseline registers two
+// builders over the state machines of steppers.go: BuildSteppers for
+// the two-agent run, and BuildTeam — the baselines are all
 // oblivious, so the k-agent generalization is agent 0 in the a-role
 // and agents 1..k-1 each running an independent copy of the b-role
 // (for walkpair, k independent walkers; the roles coincide).
 func init() {
-	pair := func(f func() (sim.Program, sim.Program)) func(algo.BuildOpts) (sim.Program, sim.Program, error) {
-		return func(algo.BuildOpts) (sim.Program, sim.Program, error) {
-			a, b := f()
-			return a, b, nil
-		}
-	}
 	steppers := func(fa, fb func() sim.Stepper) func(algo.BuildOpts) (sim.Stepper, sim.Stepper, error) {
 		return func(algo.BuildOpts) (sim.Stepper, sim.Stepper, error) {
 			return fa(), fb(), nil
@@ -42,7 +35,6 @@ func init() {
 		Order:         2,
 		Summary:       "trivial O(∆) baseline: a waits, b sweeps its neighborhood in port order",
 		Caps:          algo.Caps{NeighborIDs: true},
-		Build:         pair(StayAndSweep),
 		BuildSteppers: steppers(StayerStepper, SweepStepper),
 		BuildTeam:     team(StayerStepper, SweepStepper),
 	})
@@ -51,7 +43,6 @@ func init() {
 		Order:         3,
 		Summary:       "full-exploration baseline: a waits, b walks a DFS traversal of the graph",
 		Caps:          algo.Caps{NeighborIDs: true},
-		Build:         pair(StayAndDFS),
 		BuildSteppers: steppers(StayerStepper, DFSStepper),
 		BuildTeam:     team(StayerStepper, DFSStepper),
 	})
@@ -59,7 +50,6 @@ func init() {
 		Name:          "staywalk",
 		Order:         4,
 		Summary:       "a waits, b random-walks by ports (KT0-capable)",
-		Build:         pair(StayAndWalk),
 		BuildSteppers: steppers(StayerStepper, RandomWalkerStepper),
 		BuildTeam:     team(StayerStepper, RandomWalkerStepper),
 	})
@@ -67,7 +57,6 @@ func init() {
 		Name:          "walkpair",
 		Order:         5,
 		Summary:       "two independent random walkers (KT0-capable)",
-		Build:         pair(RandomWalkPair),
 		BuildSteppers: steppers(RandomWalkerStepper, RandomWalkerStepper),
 		BuildTeam:     team(RandomWalkerStepper, RandomWalkerStepper),
 	})
@@ -76,7 +65,6 @@ func init() {
 		Order:         6,
 		Summary:       "complete-graph whiteboard birthday strategy (Anderson–Weber stand-in)",
 		Caps:          algo.Caps{NeighborIDs: true, Whiteboards: true},
-		Build:         pair(BirthdayAgents),
 		BuildSteppers: steppers(BirthdayStepperA, BirthdayStepperB),
 		BuildTeam:     team(BirthdayStepperA, BirthdayStepperB),
 	})

@@ -1,12 +1,21 @@
+// Package baseline implements the reference strategies the paper's
+// algorithms are measured against, as sim.Stepper state machines:
+//
+//   - sweep (StayerStepper + SweepStepper): the trivial O(∆)
+//     neighborhood sweep the paper's introduction cites as the
+//     baseline to beat,
+//   - dfs (StayerStepper + DFSStepper): rendezvous by full graph
+//     exploration (the "existentially optimal" O(n) strategy of §1.1),
+//   - staywalk and walkpair (RandomWalkerStepper): random-walk
+//     rendezvous (meeting time), usable in the KT0 model because they
+//     navigate by ports,
+//   - birthday (BirthdayStepperA + BirthdayStepperB): the whiteboard
+//     birthday-paradox strategy for complete graphs standing in for
+//     Anderson–Weber [6], which the paper generalizes.
+//
+// Direct-style Program forms of the same strategies live in the
+// package's tests as the reference the steppers are checked against.
 package baseline
-
-// This file holds the stepper (state-machine) forms of the baseline
-// strategies, used by the engine's goroutine-free fast path. Each
-// stepper is behaviorally identical to its Program counterpart in
-// baseline.go — same action sequence, same RNG draw order — so trial
-// results are byte-identical on either path (the differential suite
-// in internal/engine enforces this). When changing a strategy, change
-// both forms.
 
 import (
 	"errors"
@@ -16,14 +25,14 @@ import (
 	"fnr/internal/sim"
 )
 
-// errNotAdjacent mirrors the Program forms' panic on an impossible
-// MoveToID: the run errors out rather than silently diverging.
+// errNotAdjacent reports an impossible move to a non-neighbor ID: the
+// run errors out rather than silently diverging.
 func errNotAdjacent(v *sim.View, id int64) error {
 	return fmt.Errorf("baseline stepper at vertex %d has no neighbor with ID %d", v.HereID, id)
 }
 
-// StayerStepper returns the stepper form of Stayer: it waits at its
-// start vertex forever in fast-forwardable bulk stays.
+// StayerStepper returns an agent that waits at its start vertex
+// forever in fast-forwardable bulk stays.
 func StayerStepper() sim.Stepper { return stayerStepper{} }
 
 type stayerStepper struct{}
@@ -34,9 +43,11 @@ func (stayerStepper) Reset(*sim.StepContext) {}
 
 func (stayerStepper) Next(*sim.View) sim.Action { return sim.StayFor(1 << 30) }
 
-// SweepStepper returns the stepper form of StayAndSweep's agent b: it
-// visits each neighbor of its start vertex in port order, returning
-// home between visits, then halts.
+// SweepStepper returns the sweep baseline's agent b: it visits each
+// neighbor of its start vertex in port order, returning home between
+// visits, then halts. Paired with StayerStepper, b reaches a within
+// 2·deg(b) rounds when the agents start adjacent. It needs neighbor-ID
+// access for the return trips.
 func SweepStepper() sim.Stepper { return &sweepStepper{} }
 
 type sweepStepper struct {
@@ -84,8 +95,8 @@ func (s *sweepStepper) Next(v *sim.View) sim.Action {
 	return sim.Move(p)
 }
 
-// RandomWalkerStepper returns the stepper form of RandomWalker: an
-// endless uniform random walk by local ports (KT0-capable).
+// RandomWalkerStepper returns an endless uniform random walk by local
+// ports (KT0-capable).
 func RandomWalkerStepper() sim.Stepper { return &randomWalkerStepper{} }
 
 type randomWalkerStepper struct {
@@ -103,9 +114,9 @@ func (s *randomWalkerStepper) Next(v *sim.View) sim.Action {
 	return sim.Move(s.rng.IntN(v.Degree))
 }
 
-// DFSStepper returns the stepper form of DFSExplorer: a depth-first
-// traversal of the graph by neighbor IDs, halting when every reachable
-// vertex has been visited.
+// DFSStepper returns a depth-first traversal of the graph by neighbor
+// IDs, halting when every reachable vertex has been visited (within
+// 2(n−1) moves). It is oblivious to the initial distance.
 func DFSStepper() sim.Stepper { return &dfsStepper{} }
 
 type dfsStepper struct {
@@ -153,11 +164,12 @@ func (s *dfsStepper) Next(v *sim.View) sim.Action {
 	return sim.Move(p)
 }
 
-// BirthdayStepperA returns the stepper form of BirthdayAgents' agent
-// a: repeatedly probe a uniform closed neighbor for a mark and chase
-// it when found. The RNG draw sequence matches the Program form
-// exactly, including the zero-round retries when the draw is the home
-// vertex.
+// BirthdayStepperA returns the birthday strategy's agent a: repeatedly
+// probe a uniform closed neighbor for a mark and, on finding one, move
+// to b's start vertex and wait. Home draws cost no round (zero-round
+// retries). On K_n both closed neighborhoods are V, giving the
+// O(√n)-expected-round birthday bound the paper cites. It needs
+// whiteboards and neighbor-ID access.
 func BirthdayStepperA() sim.Stepper { return &birthdayStepperA{} }
 
 type birthdayStepperA struct {
@@ -204,7 +216,7 @@ func (s *birthdayStepperA) Next(v *sim.View) sim.Action {
 	switch s.state {
 	case birthdayAProbe:
 		// Read the mark here, then head home; the decision happens on
-		// arrival (birthdayACheck), as in the Program form.
+		// arrival (birthdayACheck).
 		s.mark = v.Whiteboard
 		p, ok := v.PortOfID(s.home)
 		if !ok {
@@ -224,9 +236,8 @@ func (s *birthdayStepperA) Next(v *sim.View) sim.Action {
 		}
 		s.state = birthdayAChoose
 	}
-	// birthdayAChoose: draw closed neighbors until one costs a round,
-	// mirroring the Program form's zero-round retry loop (home draws
-	// that read an unchaseable mark consume no rounds). np is home
+	// birthdayAChoose: draw closed neighbors until one costs a round
+	// (home draws that read an unchaseable mark consume no rounds). np is home
 	// followed by the neighbors in port order, so a drawn index j ≥ 1
 	// is the neighbor behind port j-1 — no ID lookup.
 	for {
@@ -246,8 +257,8 @@ func (s *birthdayStepperA) Next(v *sim.View) sim.Action {
 	}
 }
 
-// BirthdayStepperB returns the stepper form of BirthdayAgents' agent
-// b: repeatedly mark a uniform closed neighbor with its start ID.
+// BirthdayStepperB returns the birthday strategy's agent b: repeatedly
+// mark a uniform closed neighbor with its start ID.
 func BirthdayStepperB() sim.Stepper { return &birthdayStepperB{} }
 
 type birthdayStepperB struct {
@@ -282,8 +293,8 @@ func (s *birthdayStepperB) Next(v *sim.View) sim.Action {
 		s.np = append(s.np, v.NeighborIDs...)
 	}
 	if s.away {
-		// Mark commits together with the move home, exactly like the
-		// Program form's staged WriteWhiteboard before MoveToID(home).
+		// The mark commits together with the move home (a staged
+		// whiteboard write rides on the next action).
 		p, ok := v.PortOfID(s.home)
 		if !ok {
 			return sim.Abort(errNotAdjacent(v, s.home))

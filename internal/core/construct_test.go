@@ -16,12 +16,11 @@ import (
 func runConstructOnly(t *testing.T, g *graph.Graph, start graph.Vertex, know Knowledge, seed uint64) *WhiteboardStats {
 	t.Helper()
 	st := &WhiteboardStats{}
-	ghost := func(e *sim.Env) {} // halts immediately
 	other := graph.Vertex(0)
 	if start == other {
 		other = 1
 	}
-	_, err := sim.Run(sim.Config{
+	_, err := sim.RunSteppers(sim.Config{
 		Graph:          g,
 		StartA:         start,
 		StartB:         other,
@@ -29,7 +28,7 @@ func runConstructOnly(t *testing.T, g *graph.Graph, start graph.Vertex, know Kno
 		Seed:           seed,
 		MaxRounds:      1 << 40,
 		DisableMeeting: true,
-	}, ConstructOnly(PracticalParams(), know, st), ghost)
+	}, ConstructOnlyStepper(PracticalParams(), know, st), haltStepper{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -209,55 +208,50 @@ func TestLnOfFloors(t *testing.T) {
 	}
 }
 
-func TestRestartErrorMessage(t *testing.T) {
-	err := &restartError{seenDegree: 3}
-	if msg := err.Error(); msg == "" || !strings.Contains(msg, "3") {
-		t.Fatalf("unhelpful restart error: %q", msg)
-	}
-}
-
-// Drive walker navigation errors directly: unknown targets must fail
-// without moving.
+// Agent a's navigation must fail the run, before any move, on a
+// target it has no route to: a set member without a via entry, or a
+// via hop that is not adjacent to home. The single-entry neighborhood
+// cache answers only for home and the last visited candidate.
 func TestWalkerNavigationErrors(t *testing.T) {
-	g, err := graph.Complete(6)
+	g, err := graph.Ring(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ghost := func(e *sim.Env) {}
-	ran := false
-	prog := func(e *sim.Env) {
-		params := PracticalParams()
-		w := newWalker(e, &params, 1, false)
-		w.learn(w.home, w.s.homeNb)
-		if err := w.goTo(999); err == nil {
-			panic("goTo(999) succeeded for unknown vertex")
-		}
-		if e.HereID() != w.home {
-			panic("failed goTo moved the agent")
-		}
-		// Known vertex at distance 1 works and comes back.
-		if cnt, err := w.exactCount(w.s.homeNb[0]); err != nil || cnt == 0 {
-			panic("exactCount on neighbor failed")
-		}
-		if e.HereID() != w.home {
-			panic("exactCount did not return home")
-		}
-		if _, ok := w.cachedNeighborhood(w.s.homeNb[0]); !ok {
-			panic("lastSeen cache empty after exactCount")
-		}
-		if _, ok := w.cachedNeighborhood(12345); ok {
-			panic("cache hit for never-visited vertex")
-		}
-		ran = true
+	cfg := sim.Config{
+		Graph: g, StartA: 0, StartB: 1,
+		NeighborIDs: true, Whiteboards: true, MaxRounds: 100, DisableMeeting: true,
 	}
-	if _, err := sim.Run(sim.Config{
-		Graph: g, StartA: 0, StartB: 5,
-		NeighborIDs: true, MaxRounds: 100, DisableMeeting: true,
-	}, prog, ghost); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		t       []int64
+		via     map[int64]int64
+		errWant string
+	}{
+		{"missing via", []int64{0, 999}, map[int64]int64{0: 0}, "no via entry"},
+		{"via not adjacent", []int64{4}, map[int64]int64{4: 4}, "no visible neighbor with ID 4"},
+	} {
+		a, b := MainPhaseSteppers(tc.t, tc.via)
+		_, err := sim.RunSteppers(cfg, a, b)
+		if err == nil || !strings.Contains(err.Error(), tc.errWant) {
+			t.Errorf("%s: error = %v, want mention of %q", tc.name, err, tc.errWant)
+		}
 	}
-	if !ran {
-		t.Fatal("program did not complete")
+
+	params := PracticalParams()
+	w := newWalkerCore(&walkerScratch{}, 0, 8, &params, 1, false, 0, []int64{1, 7})
+	w.learn(w.home, w.s.homeNb)
+	if _, ok := w.viaOf(999); ok {
+		t.Error("via entry for a never-learned vertex")
+	}
+	if nbs, ok := w.cachedNeighborhood(0); !ok || len(nbs) != 2 {
+		t.Errorf("home neighborhood not cached: %v %v", nbs, ok)
+	}
+	w.noteLastSeen(1, []int64{0, 2})
+	if _, ok := w.cachedNeighborhood(1); !ok {
+		t.Error("lastSeen cache empty after a visit")
+	}
+	if _, ok := w.cachedNeighborhood(12345); ok {
+		t.Error("cache hit for never-visited vertex")
 	}
 }
 
@@ -265,7 +259,6 @@ func TestWalkerNavigationErrors(t *testing.T) {
 // satisfies the (a, δ/8, 2)-dense definition verified against the
 // ground truth.
 func TestConstructDenseProperty(t *testing.T) {
-	ghost := func(e *sim.Env) {}
 	check := func(seed uint64, nRaw, startRaw uint8) bool {
 		n := 64 + int(nRaw)%128
 		d := int(math.Sqrt(float64(n))) + 4 + int(seed%16) // δ ≥ √n
@@ -283,10 +276,10 @@ func TestConstructDenseProperty(t *testing.T) {
 			other = 1
 		}
 		st := &WhiteboardStats{}
-		_, err = sim.Run(sim.Config{
+		_, err = sim.RunSteppers(sim.Config{
 			Graph: g, StartA: start, StartB: other,
 			NeighborIDs: true, Seed: seed, MaxRounds: 1 << 40, DisableMeeting: true,
-		}, ConstructOnly(PracticalParams(), Knowledge{Delta: g.MinDegree()}, st), ghost)
+		}, ConstructOnlyStepper(PracticalParams(), Knowledge{Delta: g.MinDegree()}, st), haltStepper{})
 		if err != nil {
 			return false
 		}

@@ -48,8 +48,8 @@ func TestNoboardRendezvousOnPlanted(t *testing.T) {
 	met := 0
 	for seed := uint64(0); seed < 3; seed++ {
 		st := &NoboardStats{}
-		progA, progB := NoboardAgents(PracticalParams(), g.MinDegree(), st)
-		res, err := sim.Run(sim.Config{
+		progA, progB := NoboardSteppers(PracticalParams(), g.MinDegree(), st)
+		res, err := sim.RunSteppers(sim.Config{
 			Graph: g, StartA: a, StartB: b,
 			NeighborIDs: true, Whiteboards: false, // the point of Theorem 2
 			Seed: seed, MaxRounds: 1 << 40,
@@ -80,8 +80,8 @@ func TestNoboardRendezvousOnComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &NoboardStats{}
-	progA, progB := NoboardAgents(PracticalParams(), g.MinDegree(), st)
-	res, err := sim.Run(sim.Config{
+	progA, progB := NoboardSteppers(PracticalParams(), g.MinDegree(), st)
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: 0, StartB: 1,
 		NeighborIDs: true, Seed: 5, MaxRounds: 1 << 40,
 	}, progA, progB)
@@ -102,8 +102,8 @@ func TestNoboardWritesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progA, progB := NoboardAgents(PracticalParams(), g.MinDegree(), nil)
-	res, err := sim.Run(sim.Config{
+	progA, progB := NoboardSteppers(PracticalParams(), g.MinDegree(), nil)
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: 0, StartB: 1,
 		NeighborIDs: true, Whiteboards: true,
 		Seed: 9, MaxRounds: 1 << 40,
@@ -126,8 +126,8 @@ func TestNoboardPermutedIDs(t *testing.T) {
 	b.PermuteIDs(rng) // tight naming preserved, IDs decorrelated
 	g := b.MustBuild()
 	a, bb := adjacentStarts(t, g)
-	progA, progB := NoboardAgents(PracticalParams(), g.MinDegree(), nil)
-	res, err := sim.Run(sim.Config{
+	progA, progB := NoboardSteppers(PracticalParams(), g.MinDegree(), nil)
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: a, StartB: bb,
 		NeighborIDs: true, Seed: 21, MaxRounds: 1 << 40,
 	}, progA, progB)
@@ -151,12 +151,12 @@ func TestNoboardFullScheduleRuns(t *testing.T) {
 	}
 	a, b := adjacentStarts(t, g)
 	st := &NoboardStats{}
-	progA, progB := NoboardAgents(PracticalParams(), g.MinDegree(), st)
+	progA, progB := NoboardSteppers(PracticalParams(), g.MinDegree(), st)
 	sched, err := newNoboardSchedule(PracticalParams(), g.NPrime(), g.MinDegree())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sim.Config{
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: a, StartB: b,
 		NeighborIDs:    true,
 		Seed:           2,

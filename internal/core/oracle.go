@@ -1,18 +1,13 @@
 package core
 
-import (
-	"fmt"
-
-	"fnr/internal/graph"
-	"fnr/internal/sim"
-)
+import "fnr/internal/graph"
 
 // DenseSetOracle computes T = N⁺(N⁺(v0)) with via-paths directly from
 // the ground-truth graph. The result is (v0, δ+1, 2)-dense (every
 // u ∈ N⁺(v0) has its whole closed neighborhood inside T), which is the
 // strongest set the Construct procedure could hope to build.
 //
-// It exists for mechanism isolation: feeding it to MainPhaseAgentA
+// It exists for mechanism isolation: feeding it to MainPhaseSteppers
 // starts agent a warm, so a run measures Lemma 1's Main-Rendezvous cost
 // O(√(n∆)/δ·log n) alone, without the Construct prefix and without the
 // incidental meetings that happen while a wanders during Construct.
@@ -37,28 +32,4 @@ func DenseSetOracle(g *graph.Graph, v0 graph.Vertex) (t []int64, via map[int64]i
 		}
 	}
 	return t, via
-}
-
-// MainPhaseAgentA returns agent a's program starting directly in the
-// Main-Rendezvous loop (Algorithm 1) with an externally supplied dense
-// set and via-paths, as produced by DenseSetOracle. Every via entry
-// must be a neighbor of a's start vertex (or the vertex itself for
-// distance-1 members). Pair it with AgentB.
-func MainPhaseAgentA(t []int64, via map[int64]int64) sim.Program {
-	return func(e *sim.Env) {
-		params := PracticalParams()
-		w := newWalker(e, &params, 1, false)
-		for _, id := range t {
-			v, ok := via[id]
-			if !ok {
-				panic(fmt.Sprintf("core: oracle set member %d has no via entry", id))
-			}
-			w.s.via.setIfMissing(id, v)
-			if !w.s.ns.has(id) {
-				w.s.ns.add(id)
-				w.s.nsL = append(w.s.nsL, id)
-			}
-		}
-		mainRendezvousA(e, w)
-	}
 }

@@ -9,9 +9,11 @@
 //     Theorem 2 (Algorithm 4), and
 //   - the doubling minimum-degree estimation of §4.1 (Corollary 2).
 //
-// Agents are sim.Programs; all graph knowledge is acquired through the
-// simulator's views (neighbor IDs of the current vertex), never by
-// inspecting the graph structure directly.
+// Agents are sim.Steppers (stepper_a.go, stepper_b.go); all graph
+// knowledge is acquired through the simulator's views (neighbor IDs of
+// the current vertex), never by inspecting the graph structure
+// directly. Direct-style Program forms of the same agents live in the
+// package's tests as the reference the steppers are checked against.
 package core
 
 import "math"

@@ -8,6 +8,12 @@ import (
 	"fnr/internal/sim"
 )
 
+// idleStepper waits at its start vertex forever.
+type idleStepper struct{}
+
+func (idleStepper) Init(*sim.StepContext)     {}
+func (idleStepper) Next(*sim.View) sim.Action { return sim.StayFor(1 << 20) }
+
 // adjacentStarts returns a deterministic adjacent pair of vertices.
 func adjacentStarts(t *testing.T, g *graph.Graph) (graph.Vertex, graph.Vertex) {
 	t.Helper()
@@ -25,8 +31,8 @@ func TestWhiteboardRendezvousOnComplete(t *testing.T) {
 	}
 	a, b := adjacentStarts(t, g)
 	for seed := uint64(0); seed < 5; seed++ {
-		progA, progB := WhiteboardAgents(PracticalParams(), Knowledge{Delta: g.MinDegree()}, nil)
-		res, err := sim.Run(sim.Config{
+		progA, progB := WhiteboardSteppers(PracticalParams(), Knowledge{Delta: g.MinDegree()}, nil)
+		res, err := sim.RunSteppers(sim.Config{
 			Graph: g, StartA: a, StartB: b,
 			NeighborIDs: true, Whiteboards: true,
 			Seed: seed, MaxRounds: 1 << 40,
@@ -49,8 +55,8 @@ func TestWhiteboardRendezvousOnPlanted(t *testing.T) {
 	a, b := adjacentStarts(t, g)
 	for seed := uint64(0); seed < 3; seed++ {
 		st := &WhiteboardStats{}
-		progA, progB := WhiteboardAgents(PracticalParams(), Knowledge{Delta: g.MinDegree()}, st)
-		res, err := sim.Run(sim.Config{
+		progA, progB := WhiteboardSteppers(PracticalParams(), Knowledge{Delta: g.MinDegree()}, st)
+		res, err := sim.RunSteppers(sim.Config{
 			Graph: g, StartA: a, StartB: b,
 			NeighborIDs: true, Whiteboards: true,
 			Seed: seed, MaxRounds: 1 << 40,
@@ -76,8 +82,8 @@ func TestWhiteboardRendezvousWithDoubling(t *testing.T) {
 	}
 	a, b := adjacentStarts(t, g)
 	st := &WhiteboardStats{}
-	progA, progB := WhiteboardAgents(PracticalParams(), Knowledge{Doubling: true}, st)
-	res, err := sim.Run(sim.Config{
+	progA, progB := WhiteboardSteppers(PracticalParams(), Knowledge{Doubling: true}, st)
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: a, StartB: b,
 		NeighborIDs: true, Whiteboards: true,
 		Seed: 7, MaxRounds: 1 << 40,
@@ -104,8 +110,8 @@ func TestWhiteboardRendezvousSparseIDs(t *testing.T) {
 	}
 	g := b.MustBuild()
 	a, bb := adjacentStarts(t, g)
-	progA, progB := WhiteboardAgents(PracticalParams(), Knowledge{Delta: g.MinDegree()}, nil)
-	res, err := sim.Run(sim.Config{
+	progA, progB := WhiteboardSteppers(PracticalParams(), Knowledge{Delta: g.MinDegree()}, nil)
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: a, StartB: bb,
 		NeighborIDs: true, Whiteboards: true,
 		Seed: 3, MaxRounds: 1 << 40,
@@ -123,16 +129,12 @@ func TestAgentBWritesMarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle := func(e *sim.Env) {
-		for {
-			e.StayFor(1 << 20)
-		}
-	}
-	res, err := sim.Run(sim.Config{
+	_, markerB := WhiteboardSteppers(PracticalParams(), Knowledge{Delta: g.MinDegree()}, nil)
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: 5, StartB: 2,
 		NeighborIDs: true, Whiteboards: true,
 		Seed: 1, MaxRounds: 500, DisableMeeting: true,
-	}, idle, AgentB())
+	}, idleStepper{}, markerB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +163,13 @@ func TestSampleClassifierSeparation(t *testing.T) {
 		}
 	}
 	g := b.MustBuild()
-	ghost := func(e *sim.Env) {}
 	for seed := uint64(0); seed < 3; seed++ {
 		rep := &SampleReport{}
-		_, err := sim.Run(sim.Config{
+		_, err := sim.RunSteppers(sim.Config{
 			Graph: g, StartA: 0, StartB: 40,
 			NeighborIDs: true, Seed: seed, MaxRounds: 1 << 40,
 			DisableMeeting: true,
-		}, SampleClassifier(PracticalParams(), 64, rep), ghost)
+		}, SampleClassifierStepper(PracticalParams(), 64, rep), haltStepper{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,11 +230,12 @@ func TestMainPhaseAgentMeetsOnPlanted(t *testing.T) {
 	sa, sb := adjacentStarts(t, g)
 	tset, via := DenseSetOracle(g, sa)
 	for seed := uint64(0); seed < 3; seed++ {
-		res, err := sim.Run(sim.Config{
+		a, b := MainPhaseSteppers(tset, via)
+		res, err := sim.RunSteppers(sim.Config{
 			Graph: g, StartA: sa, StartB: sb,
 			NeighborIDs: true, Whiteboards: true,
 			Seed: seed, MaxRounds: 1 << 40,
-		}, MainPhaseAgentA(tset, via), AgentB())
+		}, a, b)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -272,8 +274,8 @@ func TestPaperParamsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sa, sb := adjacentStarts(t, g)
-	progA, progB := WhiteboardAgents(PaperParams(), Knowledge{Delta: g.MinDegree()}, nil)
-	res, err := sim.Run(sim.Config{
+	progA, progB := WhiteboardSteppers(PaperParams(), Knowledge{Delta: g.MinDegree()}, nil)
+	res, err := sim.RunSteppers(sim.Config{
 		Graph: g, StartA: sa, StartB: sb,
 		NeighborIDs: true, Whiteboards: true,
 		Seed: 1, MaxRounds: 1 << 40,
@@ -284,8 +286,8 @@ func TestPaperParamsEndToEnd(t *testing.T) {
 	if !res.Met {
 		t.Fatal("whiteboard algorithm with paper constants never met")
 	}
-	na, nb := NoboardAgents(PaperParams(), g.MinDegree(), nil)
-	res, err = sim.Run(sim.Config{
+	na, nb := NoboardSteppers(PaperParams(), g.MinDegree(), nil)
+	res, err = sim.RunSteppers(sim.Config{
 		Graph: g, StartA: sa, StartB: sb,
 		NeighborIDs: true, Seed: 1, MaxRounds: 1 << 40,
 	}, na, nb)

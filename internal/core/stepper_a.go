@@ -8,24 +8,23 @@ import (
 	"fnr/internal/sim"
 )
 
-// This file is the native sim.Stepper form of agent a for both paper
-// algorithms: the direct-style control flow of runConstruct /
-// constructDense (§4.1 doubling restarts included), mainRendezvousA
-// (Theorem 1) and NoboardAgentA's phase schedule (Algorithm 4) is
-// inverted into one explicit resumable state machine, so the engine's
-// fast path steps the agent inline — no goroutine, no iter.Pull
-// coroutine, no program closures. The Program forms in rendezvous.go /
-// construct.go / noboard.go remain the differential-test reference:
-// every decision (RNG draw order, thresholds, stats) must match them
-// draw for draw, which is why all pure arithmetic lives in the shared
-// walkerCore and the schedule/estimate helpers, and only the
-// *sequencing* is re-expressed here.
+// This file is agent a of both paper algorithms as one explicit
+// resumable sim.Stepper state machine: Construct (§4.1 doubling
+// restarts included), Main-Rendezvous (Theorem 1) and the phase
+// schedule of Algorithm 4. It is the only production form of agent a:
+// single runs, batches and the experiment harness all step it inline,
+// with no goroutine, coroutine or program closure per trial. The
+// direct-style Programs in the package's _test.go files are the
+// reference it is differential-tested against, draw for draw (RNG
+// order, thresholds, stats); all pure arithmetic lives in the shared
+// walkerCore and the schedule/estimate helpers, so only the sequencing
+// is expressed here.
 //
 // Reading guide: each aPC value is a resume point, i.e. "what to do
 // with the view of the agent's next acting round". A state handler
 // either emits exactly one action (return) or transitions purely
-// (continue); blocking calls of the direct style — goTo, goHome,
-// WaitUntilRound — become the travel/return/wait emissions below with
+// (continue); the blocking calls of the direct style (goTo, goHome,
+// WaitUntilRound) are the travel/return/wait emissions below, with
 // the follow-up state recorded in the machine.
 
 // aPC is the resume point of the native agent-a machine.
@@ -66,36 +65,72 @@ const (
 	pcNbSlotLoop
 	pcNbArrive
 	pcNbResidencyDone
-	pcNbDone
+	// Halt: Algorithm 4's phases are over, or a construct-only run
+	// has built T^a.
+	pcHalt
+	// Harness instruments (see ConstructOnlyStepper and friends).
+	pcClassify
+	pcClassified
+	pcWarmStart
 )
 
 // waitForever is the bulk-stay the machine parks on once rendezvous is
 // guaranteed by position (the runtime fast-forwards it; identical stay
-// accounting to the Program form's one-round loop).
+// accounting to a loop of one-round stays).
 const waitForever = int64(1) << 62
 
-// WhiteboardSteppers returns the native stepper pair of the Theorem-1
-// algorithm — behaviorally identical to WhiteboardAgents (same action
-// sequence, same RNG draw order, same stats), minus the per-trial
-// coroutine/program-closure setup. st may be nil.
+// WhiteboardSteppers returns the stepper pair of the Theorem-1
+// algorithm: agent a runs Construct (with the §4.1 doubling
+// δ-estimation if know.Doubling is set) and then Main-Rendezvous,
+// sampling T^a for agent b's whiteboard mark; agent b obliviously
+// marks random closed neighbors of its start vertex with its start
+// ID. The pair needs whiteboards and neighbor-ID access. st may be
+// nil.
 func WhiteboardSteppers(p Params, know Knowledge, st *WhiteboardStats) (a, b sim.Stepper) {
-	return &nativeAgentA{p: &p, know: know, wst: st}, &whiteboardBStepper{}
+	return &nativeAgentA{aConfig: aConfig{p: &p, know: know, wst: st, after: pcMainLoop}}, &whiteboardBStepper{}
 }
 
-// NoboardSteppers returns the native stepper pair of the Theorem-2
-// algorithm (Algorithm 4) — behaviorally identical to NoboardAgents.
-// st may be nil.
+// NoboardSteppers returns the stepper pair of the Theorem-2 algorithm
+// (Algorithm 4, Rendezvous-without-Whiteboards). The pair requires
+// neighbor-ID access and tight naming (n' = O(n)) but no whiteboards;
+// both agents must know δ (the doubling technique of §4.1 applies only
+// to the whiteboard algorithm's agent a). st may be nil.
 func NoboardSteppers(p Params, delta int, st *NoboardStats) (a, b sim.Stepper) {
-	as := &nativeAgentA{p: &p, know: Knowledge{Delta: delta}, nb: &nbAState{}, delta: delta, nst: st}
+	as := &nativeAgentA{aConfig: aConfig{p: &p, know: Knowledge{Delta: delta}, nb: &nbAState{}, delta: delta, nst: st, after: pcNbSchedule}}
 	if st != nil {
 		as.wst = &st.Construct
 	}
 	return as, &noboardBStepper{p: &p, delta: delta, nst: st}
 }
 
+// ConstructOnlyStepper returns agent a of the Theorem-1 algorithm cut
+// short: it runs Construct and halts, exposing T^a and the Construct
+// counters through st for the Lemma 5–8 experiments.
+func ConstructOnlyStepper(p Params, know Knowledge, st *WhiteboardStats) sim.Stepper {
+	return &nativeAgentA{aConfig: aConfig{p: &p, know: know, wst: st, after: pcHalt}}
+}
+
+// SampleClassifierStepper returns an agent that runs one
+// Sample(Γ, α) over Γ = N+(start) with α = delta/AlphaDen, stores the
+// vertices it classified heavy (and the visits spent) in rep, and
+// halts. It validates Lemma 2 / Corollary 1 empirically.
+func SampleClassifierStepper(p Params, delta int, rep *SampleReport) sim.Stepper {
+	return &nativeAgentA{aConfig: aConfig{p: &p, know: Knowledge{Delta: delta}, entry: pcClassify, rep: rep}, pc: pcClassify}
+}
+
+// MainPhaseSteppers returns the Theorem-1 pair with agent a started
+// directly in the Main-Rendezvous loop on an externally supplied dense
+// set t and its via-paths, as produced by DenseSetOracle. Every via
+// entry must be a neighbor of a's start vertex (or the vertex itself
+// for distance-1 members). Agent b is the usual oblivious marker.
+func MainPhaseSteppers(t []int64, via map[int64]int64) (a, b sim.Stepper) {
+	p := PracticalParams()
+	return &nativeAgentA{aConfig: aConfig{p: &p, entry: pcWarmStart, warmT: t, warmVia: via}, pc: pcWarmStart}, &whiteboardBStepper{}
+}
+
 // nbAState is the Algorithm-4 schedule state of agent a, split out of
 // nativeAgentA so the (hotter, smaller) whiteboard trials don't carry
-// it; nb != nil is also what selects noboard mode after Construct.
+// it.
 type nbAState struct {
 	sched      noboardSchedule
 	phi        []int64
@@ -110,16 +145,30 @@ type nbAState struct {
 	resideFrom int64
 }
 
-// nativeAgentA is agent a as an explicit state machine.
-type nativeAgentA struct {
-	// Per-trial configuration. p is shared with the paired agent-b
-	// machine (read-only for the whole trial).
+// aConfig is the trial-constant configuration of the agent-a machine:
+// everything Reset keeps.
+type aConfig struct {
+	// p is shared with the paired agent-b machine (read-only for the
+	// whole trial).
 	p     *Params
 	know  Knowledge
 	delta int // noboard δ
 	wst   *WhiteboardStats
 	nst   *NoboardStats
-	nb    *nbAState // non-nil selects Algorithm 4 after Construct
+	nb    *nbAState // Algorithm-4 schedule state (noboard only)
+	// entry is the state every trial starts in (pcStart unless an
+	// instrument skips Construct); after is the state Construct hands
+	// over to: pcMainLoop (Theorem 1), pcNbSchedule (Algorithm 4) or
+	// pcHalt (construct-only).
+	entry, after aPC
+	rep          *SampleReport   // pcClassify's output
+	warmT        []int64         // pcWarmStart's oracle dense set
+	warmVia      map[int64]int64 // and its via-paths
+}
+
+// nativeAgentA is agent a as an explicit state machine.
+type nativeAgentA struct {
+	aConfig
 
 	// Run-constant context (Init).
 	rng        *rand.Rand
@@ -173,16 +222,16 @@ func (s *nativeAgentA) Reset(ctx *sim.StepContext) {
 	if s.nb != nil {
 		*s.nb = nbAState{}
 	}
-	*s = nativeAgentA{p: s.p, know: s.know, delta: s.delta, wst: s.wst, nst: s.nst, nb: s.nb}
+	*s = nativeAgentA{aConfig: s.aConfig, pc: s.entry}
 	s.Init(ctx)
 }
 
 // moveTo emits the move crossing to the adjacent vertex id — the
-// stepper counterpart of Env.MoveToID, aborting (like the Program
-// form's panic) when id is not visible as a neighbor. Moves departing
-// home — the overwhelming majority — read the port straight off the
-// walker's N+(home) position index (npHomeL is home followed by the
-// neighbors in port order), skipping the graph's per-vertex lookup.
+// stepper counterpart of Env.MoveToID, aborting the run when id is not
+// visible as a neighbor. Moves departing home — the overwhelming
+// majority — read the port straight off the walker's N+(home) position
+// index (npHomeL is home followed by the neighbors in port order),
+// skipping the graph's per-vertex lookup.
 func (s *nativeAgentA) moveTo(v *sim.View, id int64) sim.Action {
 	if s.w.s != nil && v.HereID == s.w.home {
 		if j := s.w.s.npIdx.get(id); j > 0 {
@@ -247,7 +296,7 @@ func (s *nativeAgentA) homeward(v *sim.View, j int) sim.Action {
 }
 
 // arriveRestart handles a doubling violation observed on arrival: go
-// home (the Program form's goHomeAndReturn) and restart Construct.
+// home and restart Construct.
 func (s *nativeAgentA) arriveRestart(v *sim.View) sim.Action {
 	act, ok := s.beginReturn(v, pcRestart)
 	if !ok {
@@ -258,8 +307,8 @@ func (s *nativeAgentA) arriveRestart(v *sim.View) sim.Action {
 	return act
 }
 
-// startSample begins Sample(set, α) with completion state ret —
-// mirroring sampleRun including its empty-set early exit.
+// startSample begins Sample(set, α) with completion state ret; an
+// empty set (or α ≤ 0) completes at once with no heavy output.
 func (s *nativeAgentA) startSample(set []int64, ret aPC) {
 	s.sampleRet = ret
 	if len(set) == 0 || s.w.alpha() <= 0 {
@@ -292,8 +341,8 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 	for {
 		switch s.pc {
 		case pcStart:
-			// runConstruct preamble: δ ≥ 1 preflight and the initial
-			// δ' estimate, both shared with the Program form.
+			// Construct preamble: δ ≥ 1 preflight and the initial δ'
+			// estimate.
 			if err := constructPreflight(s.know, v.Degree); err != nil {
 				return sim.Abort(err)
 			}
@@ -301,8 +350,8 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 			s.pc = pcConstructBegin
 
 		case pcConstructBegin:
-			// constructDense prologue: fresh walker core over the
-			// (reused) scratch, home degree check, NS ← N+(home).
+			// Construct prologue: fresh walker core over the (reused)
+			// scratch, home degree check, NS ← N+(home).
 			s.w = newWalkerCore(walkerScratchFor(s.slot), s.graphStamp, s.nPrime, s.p, s.deltaEst, s.know.Doubling, v.HereID, v.NeighborIDs)
 			if s.w.degreeViolates(v.Degree) {
 				s.pc = pcRestart // home itself violates the estimate
@@ -314,7 +363,7 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 			s.pc = pcIterBegin
 
 		case pcRestart:
-			// §4.1 doubling restart (runConstruct's halving loop).
+			// §4.1 doubling restart: halve δ' and construct anew.
 			if s.wst != nil {
 				s.wst.Restarts++
 			}
@@ -425,6 +474,13 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 			s.pc = pcStrictLoop
 
 		case pcStrictLoop: // at home; R recomputed every draw
+			// One divergence from the pseudocode: a candidate drawn from
+			// R after a strict run is verified exactly by visiting it
+			// (the visit is needed anyway to learn N+(x_i)), and one that
+			// turns out heavy is marked so instead of joining S. This
+			// guarantees termination even when a scaled-down Sample
+			// misclassifies, and adds no rounds beyond the paper's own
+			// visit.
 			r := s.w.candidates()
 			if len(r) == 0 {
 				s.pc = pcConstructDone // R = ∅ with no light vertex found
@@ -488,11 +544,7 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 			// Degree checks are a Construct-only device; the main
 			// phase must not trigger restarts.
 			s.w.doubling = false
-			if s.nb != nil {
-				s.pc = pcNbSchedule
-			} else {
-				s.pc = pcMainLoop
-			}
+			s.pc = s.after
 
 		case pcOutVia: // outbound at the via vertex
 			if s.w.degreeViolates(v.Degree) {
@@ -577,7 +629,7 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 
 		case pcNbPhaseBegin:
 			if s.nb.phase > s.nb.sched.phases {
-				s.pc = pcNbDone
+				s.pc = pcHalt
 				continue
 			}
 			s.nb.phaseFrom = s.nb.sched.phaseEnd(s.nb.phase - 1)
@@ -638,8 +690,34 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 				return act
 			}
 
-		case pcNbDone: // all phases done (w.h.p. rendezvous earlier)
+		case pcHalt: // all phases done (w.h.p. rendezvous earlier)
 			return sim.Halt()
+
+		case pcClassify: // Lemma-2 instrument: Sample(N+(home), δ/AlphaDen)
+			s.w = newWalkerCore(walkerScratchFor(s.slot), s.graphStamp, s.nPrime, s.p, float64(s.know.Delta), false, v.HereID, v.NeighborIDs)
+			s.startSample(s.w.learn(s.w.home, s.w.s.homeNb), pcClassified)
+
+		case pcClassified: // back home: report H' and halt
+			// Copy: heavyOut is walker scratch and must not outlive
+			// the run inside a caller-owned report.
+			s.rep.Heavy = append([]int64(nil), s.heavyOut...)
+			s.rep.Visits = s.w.visits
+			return sim.Halt()
+
+		case pcWarmStart: // oracle T^a: skip Construct, sample T^a at once
+			s.w = newWalkerCore(walkerScratchFor(s.slot), s.graphStamp, s.nPrime, s.p, 1, false, v.HereID, v.NeighborIDs)
+			for _, id := range s.warmT {
+				via, ok := s.warmVia[id]
+				if !ok {
+					return sim.Abort(fmt.Errorf("core: oracle set member %d has no via entry", id))
+				}
+				s.w.s.via.setIfMissing(id, via)
+				if !s.w.s.ns.has(id) {
+					s.w.s.ns.add(id)
+					s.w.s.nsL = append(s.w.s.nsL, id)
+				}
+			}
+			s.pc = pcMainLoop
 
 		default:
 			return sim.Abort(fmt.Errorf("core: native agent a in impossible state %d", s.pc))

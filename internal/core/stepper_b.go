@@ -7,12 +7,11 @@ import (
 	"fnr/internal/sim"
 )
 
-// Native sim.Stepper forms of agent b for both paper algorithms,
-// mirroring AgentB (Theorem 1's oblivious marker) and NoboardAgentB
-// (Algorithm 4's interval sweeper) action for action and draw for
-// draw. Like the agent-a machine they exist to strip the per-trial
-// coroutine from the engine's fast path; the Program forms remain the
-// differential reference.
+// Agent b of both paper algorithms as sim.Stepper state machines:
+// Theorem 1's oblivious marker and Algorithm 4's interval sweeper.
+// Like the agent-a machine they are the only production form; the
+// Program forms in the package's tests are the reference they match
+// action for action and draw for draw.
 
 // bScratch is the reusable agent-b buffer set parked on the trial
 // context's scratch slot: the closed neighborhood N+(start), the
@@ -39,12 +38,12 @@ func bScratchFor(slot *sim.AgentScratch) *bScratch {
 	return sc
 }
 
-// errNotAdjacentB mirrors the Program form's MoveToID panic.
+// errNotAdjacentB reports a move to an ID not visible as a neighbor.
 func errNotAdjacentB(v *sim.View, id int64) error {
 	return fmt.Errorf("core: agent b at vertex %d has no visible neighbor with ID %d", v.HereID, id)
 }
 
-// whiteboardBStepper is AgentB as a state machine: repeatedly pick u
+// whiteboardBStepper is Theorem 1's agent b: repeatedly pick u
 // uniformly from N+(start), visit it, write the start vertex's ID on
 // its whiteboard, and return. It needs no knowledge of n or δ.
 type whiteboardBStepper struct {
@@ -85,9 +84,8 @@ func (s *whiteboardBStepper) Next(v *sim.View) sim.Action {
 		s.ret = &sc.ret
 	}
 	if s.away > 0 {
-		// The mark commits together with the move home, exactly like
-		// the Program form's staged WriteWhiteboard before
-		// MoveToID(home).
+		// The mark commits together with the move home (a staged
+		// whiteboard write rides on the next action).
 		if !s.boards {
 			return sim.Abort(fmt.Errorf("core: agent b wrote a whiteboard in a whiteboard-free run"))
 		}
@@ -123,10 +121,9 @@ const (
 	pcBSweepBack
 )
 
-// noboardBStepper is NoboardAgentB as a state machine: sample
-// Φ^b ⊆ N+(start), and in phase i sweep the vertices of Φ^b in the
-// i-th β-interval L times, pausing two rounds at the start vertex
-// between sweeps.
+// noboardBStepper is Algorithm 4's agent b: sample Φ^b ⊆ N+(start),
+// and in phase i sweep the vertices of Φ^b in the i-th β-interval L
+// times, pausing two rounds at the start vertex between sweeps.
 type noboardBStepper struct {
 	p     *Params // shared with the paired agent-a machine
 	delta int
@@ -189,7 +186,7 @@ func (s *noboardBStepper) Next(v *sim.View) sim.Action {
 		switch s.pc {
 		case pcBStart: // round 0 at the start vertex
 			// Schedule derivation first: a δ < 1 input fails here, at
-			// round 0 and before any RNG draw, like the Program form.
+			// round 0 and before any RNG draw.
 			sched, err := newNoboardSchedule(*s.p, s.nPrime, s.delta)
 			if err != nil {
 				return sim.Abort(err)

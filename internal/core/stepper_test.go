@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -10,13 +11,13 @@ import (
 	"fnr/internal/sim"
 )
 
-// The core-level differential suite: the native stepper machines must
-// reproduce the Program reference implementations not merely in
-// outcomes (the engine suite pins that) but in the full simulation
-// Result and in every diagnostic stat — iteration counts, sample
-// visits, restarts, the constructed T^a, phase overflows, residency
-// windows. Any drift in RNG draw order or action sequencing shows up
-// here first.
+// The core-level differential suite: the stepper machines must
+// reproduce the Program reference implementations of programs_test.go
+// in the full simulation Result and in every diagnostic stat —
+// iteration counts, sample visits, restarts, the constructed T^a,
+// phase overflows, residency windows. Any drift in RNG draw order or
+// action sequencing shows up here first. The programs run on
+// sim.NewProgramStepper, the one Program host.
 
 type diffCase struct {
 	name string
@@ -60,13 +61,6 @@ func diffInstances(t *testing.T) []diffCase {
 	return []diffCase{{"planted128", planted}, {"k24", complete}, {"permuted128", permuted}}
 }
 
-// Stats note: the goroutine (channel) adapter lets a program run
-// ahead eagerly after submitting an action, so when a run ends on the
-// program's final move its diagnostics may include one trailing
-// counter bump the suspended forms never execute. The simulation
-// Result is identical on all three hostings; for the diagnostics the
-// reference is the coroutine-hosted program — the exact execution the
-// engine's fast path ran before the native rewrite.
 func TestWhiteboardStepperMatchesProgramExactly(t *testing.T) {
 	for _, inst := range diffInstances(t) {
 		sa, sb := adjacentStarts(t, inst.g)
@@ -84,17 +78,11 @@ func TestWhiteboardStepperMatchesProgramExactly(t *testing.T) {
 					NeighborIDs: true, Whiteboards: true,
 					Seed: seed, MaxRounds: 1 << 22,
 				}
-				cst := &WhiteboardStats{}
-				progA, progB := WhiteboardAgents(PracticalParams(), know, cst)
-				cres, cerr := sim.Run(cfg, progA, progB)
-				if cerr != nil {
-					t.Fatalf("%s/%s/seed%d goroutine program: %v", inst.name, mode, seed, cerr)
-				}
 				pst := &WhiteboardStats{}
-				progA, progB = WhiteboardAgents(PracticalParams(), know, pst)
+				progA, progB := WhiteboardAgents(PracticalParams(), know, pst)
 				pres, perr := sim.RunSteppers(cfg, sim.NewProgramStepper(progA), sim.NewProgramStepper(progB))
 				if perr != nil {
-					t.Fatalf("%s/%s/seed%d coroutine program: %v", inst.name, mode, seed, perr)
+					t.Fatalf("%s/%s/seed%d program: %v", inst.name, mode, seed, perr)
 				}
 				nst := &WhiteboardStats{}
 				stA, stB := WhiteboardSteppers(PracticalParams(), know, nst)
@@ -102,12 +90,12 @@ func TestWhiteboardStepperMatchesProgramExactly(t *testing.T) {
 				if nerr != nil {
 					t.Fatalf("%s/%s/seed%d native: %v", inst.name, mode, seed, nerr)
 				}
-				if !sameResult(cres, nres) || !sameResult(pres, nres) {
-					t.Errorf("%s/%s/seed%d: results differ:\ngoroutine: %+v\ncoroutine: %+v\nnative:    %+v",
-						inst.name, mode, seed, cres, pres, nres)
+				if !sameResult(pres, nres) {
+					t.Errorf("%s/%s/seed%d: results differ:\nprogram: %+v\nnative:  %+v",
+						inst.name, mode, seed, pres, nres)
 				}
 				if !reflect.DeepEqual(pst, nst) {
-					t.Errorf("%s/%s/seed%d: whiteboard stats differ:\ncoroutine: %+v\nnative:    %+v", inst.name, mode, seed, pst, nst)
+					t.Errorf("%s/%s/seed%d: whiteboard stats differ:\nprogram: %+v\nnative:  %+v", inst.name, mode, seed, pst, nst)
 				}
 			}
 		}
@@ -126,17 +114,11 @@ func TestNoboardStepperMatchesProgramExactly(t *testing.T) {
 					Seed:        seed, MaxRounds: 1 << 24,
 					DisableMeeting: disableMeeting,
 				}
-				cst := &NoboardStats{}
-				progA, progB := NoboardAgents(PracticalParams(), delta, cst)
-				cres, cerr := sim.Run(cfg, progA, progB)
-				if cerr != nil {
-					t.Fatalf("%s/seed%d goroutine program: %v", inst.name, seed, cerr)
-				}
 				pst := &NoboardStats{}
-				progA, progB = NoboardAgents(PracticalParams(), delta, pst)
+				progA, progB := NoboardAgents(PracticalParams(), delta, pst)
 				pres, perr := sim.RunSteppers(cfg, sim.NewProgramStepper(progA), sim.NewProgramStepper(progB))
 				if perr != nil {
-					t.Fatalf("%s/seed%d coroutine program: %v", inst.name, seed, perr)
+					t.Fatalf("%s/seed%d program: %v", inst.name, seed, perr)
 				}
 				nst := &NoboardStats{}
 				stA, stB := NoboardSteppers(PracticalParams(), delta, nst)
@@ -144,15 +126,72 @@ func TestNoboardStepperMatchesProgramExactly(t *testing.T) {
 				if nerr != nil {
 					t.Fatalf("%s/seed%d native: %v", inst.name, seed, nerr)
 				}
-				if !sameResult(cres, nres) || !sameResult(pres, nres) {
-					t.Errorf("%s/seed%d/dm=%v: results differ:\ngoroutine: %+v\ncoroutine: %+v\nnative:    %+v",
-						inst.name, seed, disableMeeting, cres, pres, nres)
+				if !sameResult(pres, nres) {
+					t.Errorf("%s/seed%d/dm=%v: results differ:\nprogram: %+v\nnative:  %+v",
+						inst.name, seed, disableMeeting, pres, nres)
 				}
 				if !reflect.DeepEqual(pst, nst) {
-					t.Errorf("%s/seed%d/dm=%v: noboard stats differ:\ncoroutine: %+v\nnative:    %+v",
+					t.Errorf("%s/seed%d/dm=%v: noboard stats differ:\nprogram: %+v\nnative:  %+v",
 						inst.name, seed, disableMeeting, pst, nst)
 				}
 			}
+		}
+	}
+}
+
+// haltStepper is the idle partner of the single-agent instruments: it
+// halts at round 0.
+type haltStepper struct{}
+
+func (haltStepper) Init(*sim.StepContext)     {}
+func (haltStepper) Next(*sim.View) sim.Action { return sim.Halt() }
+
+// The harness instruments (Construct then halt, one Sample run, the
+// oracle-T warm start) match their Program references exactly: full
+// Result, and the stats or the SampleReport by DeepEqual.
+func TestInstrumentSteppersMatchProgramsExactly(t *testing.T) {
+	ghost := func(e *sim.Env) {}
+	run := func(t *testing.T, name string, cfg sim.Config, pa, pb sim.Program, na, nb sim.Stepper, pOut, nOut any) {
+		t.Helper()
+		pres, perr := sim.RunSteppers(cfg, sim.NewProgramStepper(pa), sim.NewProgramStepper(pb))
+		nres, nerr := sim.RunSteppers(cfg, na, nb)
+		if perr != nil || nerr != nil {
+			t.Fatalf("%s: program err %v, native err %v", name, perr, nerr)
+		}
+		if !sameResult(pres, nres) {
+			t.Errorf("%s: results differ:\nprogram: %+v\nnative:  %+v", name, pres, nres)
+		}
+		if !reflect.DeepEqual(pOut, nOut) {
+			t.Errorf("%s: diagnostics differ:\nprogram: %+v\nnative:  %+v", name, pOut, nOut)
+		}
+	}
+	for _, inst := range diffInstances(t) {
+		sa, sb := adjacentStarts(t, inst.g)
+		delta := inst.g.MinDegree()
+		for seed := uint64(1); seed <= 3; seed++ {
+			solo := sim.Config{
+				Graph: inst.g, StartA: sa, StartB: sb,
+				NeighborIDs: true, Seed: seed, MaxRounds: 1 << 40, DisableMeeting: true,
+			}
+			for _, know := range []Knowledge{{Delta: delta}, {Doubling: true}} {
+				pst, nst := &WhiteboardStats{}, &WhiteboardStats{}
+				run(t, fmt.Sprintf("%s/construct/%+v/seed%d", inst.name, know, seed), solo,
+					ConstructOnly(PracticalParams(), know, pst), ghost,
+					ConstructOnlyStepper(PracticalParams(), know, nst), haltStepper{}, pst, nst)
+			}
+			prep, nrep := &SampleReport{}, &SampleReport{}
+			run(t, fmt.Sprintf("%s/classify/seed%d", inst.name, seed), solo,
+				SampleClassifier(PracticalParams(), delta, prep), ghost,
+				SampleClassifierStepper(PracticalParams(), delta, nrep), haltStepper{}, prep, nrep)
+
+			tset, via := DenseSetOracle(inst.g, sa)
+			pair := sim.Config{
+				Graph: inst.g, StartA: sa, StartB: sb,
+				NeighborIDs: true, Whiteboards: true, Seed: seed, MaxRounds: 1 << 22,
+			}
+			na, nb := MainPhaseSteppers(tset, via)
+			run(t, fmt.Sprintf("%s/mainphase/seed%d", inst.name, seed), pair,
+				MainPhaseAgentA(tset, via), AgentB(), na, nb, nil, nil)
 		}
 	}
 }

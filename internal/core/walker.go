@@ -1,21 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"fnr/internal/sim"
 )
-
-// restartError signals a doubling-estimation restart: a visited
-// vertex's degree undercut the current δ' estimate (§4.1).
-type restartError struct {
-	seenDegree int
-}
-
-func (e *restartError) Error() string {
-	return fmt.Sprintf("core: visited vertex of degree %d below current δ' estimate", e.seenDegree)
-}
 
 // walkerScratch is the reusable Θ(n' + ∆) storage behind a walker: the
 // dense-or-map ID structures of idspace.go plus every growable list
@@ -56,7 +45,8 @@ type walkerScratch struct {
 	// overlapMemoWords bounds it.
 	ovAt []int32
 	ov   []int32
-	// Construct/Sample scratch (see constructDense and sampleRun).
+	// Construct/Sample scratch (see the Construct and Sample states of
+	// stepper_a.go).
 	counts []int32
 	inH    []bool
 	heavy  []int64
@@ -66,9 +56,8 @@ type walkerScratch struct {
 	// holds Γ_i across the learn call that produces Γ_{i+1}).
 	diff    [2][]int64
 	diffCur int
-	// phi is the Φ^a sample buffer of the native noboard stepper
-	// (Algorithm 4); the Program form allocates instead — results are
-	// identical either way.
+	// phi is the Φ^a sample buffer of the noboard stepper
+	// (Algorithm 4).
 	phi []int64
 }
 
@@ -88,13 +77,13 @@ func walkerScratchFor(slot *sim.AgentScratch) *walkerScratch {
 	return ws
 }
 
-// walkerCore is the runtime-agnostic part of agent a's bookkeeping:
-// the learned 2-neighborhood of the start vertex, the via table that
-// keeps every learned vertex within two moves of home, and the pure
-// arithmetic of Algorithms 2 and 3. The Program-path walker embeds it
-// and adds Env-driven movement; the native steppers drive the same
-// core from their state machines, so the two paths share every
-// decision computation (and cannot drift apart numerically).
+// walkerCore is agent a's bookkeeping: the learned 2-neighborhood of
+// the start vertex, the via table that keeps every learned vertex
+// within two moves of home, and the pure arithmetic of Algorithms 2
+// and 3. The agent-a stepper drives it from its state machine; the
+// test-only Program reference embeds the same core in an Env-driven
+// walker, so the two share every decision computation and cannot
+// drift apart numerically.
 //
 // The ID-keyed state lives in the dense-or-map structures of
 // idspace.go: Sample's inner loop touches them once per observed
@@ -126,14 +115,6 @@ type walkerCore struct {
 	// as x_i — and keeping just one preserves the paper's O(n log n)-bit
 	// memory claim (an unbounded cache could reach Θ(δ·∆) words).
 	lastSeenID int64
-}
-
-// walker couples a walkerCore to the Program path's Env: movement
-// (goTo/goHome) and observation go through Env calls, each suspending
-// the program's coroutine until its next acting round.
-type walker struct {
-	walkerCore
-	e *sim.Env
 }
 
 // newWalkerCore snapshots the start vertex's neighborhood (home ID and
@@ -174,15 +155,6 @@ func newWalkerCore(s *walkerScratch, graphStamp uint64, nPrime int64, p *Params,
 	return w
 }
 
-// newWalker builds the Program-path walker. Must be called with the
-// agent at its start vertex.
-func newWalker(e *sim.Env, p *Params, deltaEst float64, doubling bool) *walker {
-	return &walker{
-		walkerCore: newWalkerCore(walkerScratchFor(e.Scratch()), 0, e.NPrime(), p, deltaEst, doubling, e.HereID(), e.NeighborIDs()),
-		e:          e,
-	}
-}
-
 // alpha returns α = δ'/AlphaDen.
 func (w *walkerCore) alpha() float64 { return w.deltaEst / w.p.AlphaDen }
 
@@ -195,70 +167,10 @@ func (w *walkerCore) degreeViolates(degree int) bool {
 	return w.doubling && float64(degree) < w.deltaEst
 }
 
-// checkDegree enforces the doubling-estimation invariant on the vertex
-// the agent currently occupies.
-func (w *walker) checkDegree() error {
-	if w.degreeViolates(w.e.Degree()) {
-		return &restartError{seenDegree: w.e.Degree()}
-	}
-	return nil
-}
-
 // viaOf returns the first hop from home toward the known vertex
 // target (possibly target itself when adjacent to home).
 func (w *walkerCore) viaOf(target int64) (int64, bool) {
 	return w.s.via.get(target)
-}
-
-// goTo moves from home to the known vertex target (≤ 2 moves) and
-// verifies the degree invariant on arrival. The caller must currently
-// be at home.
-func (w *walker) goTo(target int64) error {
-	if target == w.home {
-		return nil
-	}
-	via, ok := w.viaOf(target)
-	if !ok {
-		return fmt.Errorf("core: goTo(%d): vertex unknown to walker", target)
-	}
-	if via != target {
-		if err := w.e.MoveToID(via); err != nil {
-			return err
-		}
-		if err := w.checkDegree(); err != nil {
-			return err
-		}
-	}
-	if err := w.e.MoveToID(target); err != nil {
-		return err
-	}
-	w.visits++
-	return w.checkDegree()
-}
-
-// goHome returns to home from wherever the agent stands (≤ 2 moves).
-func (w *walker) goHome() error {
-	cur := w.e.HereID()
-	if cur == w.home {
-		return nil
-	}
-	if w.s.npIdx.get(cur) < 0 { // not adjacent to home: go via
-		via, ok := w.viaOf(cur)
-		if !ok {
-			return fmt.Errorf("core: goHome from unknown vertex %d", cur)
-		}
-		if err := w.e.MoveToID(via); err != nil {
-			return err
-		}
-	}
-	return w.e.MoveToID(w.home)
-}
-
-// observeHere returns N+(current vertex) as (self ID, neighbor IDs).
-// The neighbor slice is the simulator's shared buffer: valid only until
-// the next move.
-func (w *walker) observeHere() (int64, []int64) {
-	return w.e.HereID(), w.e.NeighborIDs()
 }
 
 // learn records x's full neighborhood (observed while standing on x)
@@ -292,27 +204,6 @@ func (w *walkerCore) learn(x int64, nbs []int64) []int64 {
 func (w *walkerCore) noteLastSeen(self int64, nbs []int64) {
 	w.lastSeenID = self
 	w.s.lastSeenNb = append(w.s.lastSeenNb[:0], nbs...)
-}
-
-// exactCount returns |NS ∩ N+(u)| by visiting u, as the strict
-// decision of Algorithm 3 does (home is free: its neighborhood is
-// known). The observed neighborhood is retained as the single-entry
-// lastSeen cache so that learn can use it if u is selected as x_i. The
-// agent ends the call back at home.
-func (w *walker) exactCount(u int64) (int, error) {
-	if u == w.home {
-		return w.countAgainstNS(u, w.s.homeNb), nil
-	}
-	if err := w.goTo(u); err != nil {
-		return 0, err
-	}
-	self, nbs := w.observeHere()
-	cnt := w.countAgainstNS(self, nbs)
-	w.noteLastSeen(self, nbs)
-	if err := w.goHome(); err != nil {
-		return 0, err
-	}
-	return cnt, nil
 }
 
 // cachedNeighborhood returns u's full neighbor list if u is home or the
@@ -353,7 +244,7 @@ func (w *walkerCore) countAgainstNS(self int64, nbs []int64) int {
 }
 
 // The pure arithmetic of Algorithm 2, Sample(Γ, α), shared verbatim by
-// the Program-path sampleRun and the native steppers so the two paths
+// the agent-a stepper and the Program reference's sampleRun so the two
 // cannot diverge on a threshold.
 
 // sampleSize returns the visit budget ⌈SampleMult·|Γ|·ln n / α⌉ (≥ 1).

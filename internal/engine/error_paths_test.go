@@ -85,13 +85,13 @@ func TestBuilderErrorMidBatchLeavesWorkerContextClean(t *testing.T) {
 		// builder failure and a vandal trial injected after trial 0.
 		finished := 0
 		brokenSpec := algo.Spec{
-			Name: "broken", Caps: spec.Caps, Build: spec.Build,
+			Name: "broken", Caps: spec.Caps,
 			BuildSteppers: func(algo.BuildOpts) (sim.Stepper, sim.Stepper, error) {
 				return finishCountingStepper{&finished}, nil, errors.New("mid-batch builder failure")
 			},
 		}
 		vandalSpec := algo.Spec{
-			Name: "vandal", Caps: algo.Caps{NeighborIDs: true, Whiteboards: true}, Build: spec.Build,
+			Name: "vandal", Caps: algo.Caps{NeighborIDs: true, Whiteboards: true},
 			BuildSteppers: func(algo.BuildOpts) (sim.Stepper, sim.Stepper, error) {
 				return &vandalStepper{rounds: 4}, &vandalStepper{rounds: 6}, nil
 			},

@@ -6,7 +6,6 @@ import (
 
 	"fnr/internal/core"
 	"fnr/internal/graph"
-	"fnr/internal/sim"
 	"fnr/internal/stats"
 )
 
@@ -93,7 +92,6 @@ func runE12(cfg Config) (*Table, error) {
 		Claim:   "the w.h.p. guarantee is universal over the instance class, not an artifact of one workload",
 		Columns: []string{"family", "n", "δ", "∆", "met", "median", "bound", "median/bound", "dense ok"},
 	}
-	ghost := func(e *sim.Env) {}
 	for i, f := range families {
 		g, sa, sb := workloads[i].g, workloads[i].sa, workloads[i].sb
 		delta := g.MinDegree()
@@ -104,12 +102,7 @@ func runE12(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		// Dense verification on one construct-only run per family.
-		st := &core.WhiteboardStats{}
-		_, err = sim.Run(sim.Config{
-			Graph: g, StartA: sa, StartB: sb,
-			NeighborIDs: true, Seed: 99,
-			MaxRounds: 1 << 40, DisableMeeting: true,
-		}, core.ConstructOnly(cfg.Params, core.Knowledge{Delta: delta}, st), ghost)
+		st, err := constructOnly(g, sa, sb, 99, cfg.Params, core.Knowledge{Delta: delta})
 		if err != nil {
 			return nil, err
 		}

@@ -43,7 +43,6 @@ func runE4(cfg Config) (*Table, error) {
 		Claim:   "Lemma 2: reported-heavy ⇒ α-heavy; unreported ⇒ 4α-light (w.h.p.)",
 		Columns: []string{"k", "n", "α", "trials", "false-heavy", "false-light", "err rate", "visits/trial"},
 	}
-	ghost := func(e *sim.Env) {}
 	for _, k := range ks {
 		g, alpha, err := classifierWorkload(k)
 		if err != nil {
@@ -55,11 +54,11 @@ func runE4(cfg Config) (*Table, error) {
 		}
 		outcomes := runTrials(cfg, 1, func(_ int, seed uint64) oc {
 			rep := &core.SampleReport{}
-			_, err := sim.Run(sim.Config{
+			_, err := sim.RunSteppers(sim.Config{
 				Graph: g, StartA: 0, StartB: 1,
 				NeighborIDs: true, Seed: seed,
 				MaxRounds: 1 << 40, DisableMeeting: true,
-			}, core.SampleClassifier(cfg.Params, 8*alpha, rep), ghost)
+			}, core.SampleClassifierStepper(cfg.Params, 8*alpha, rep), ghost{})
 			if err != nil {
 				return oc{}
 			}
@@ -114,7 +113,6 @@ func runE5(cfg Config) (*Table, error) {
 		Claim:   "Lemmas 6–8: ≤ O(n/δ) iterations, O(log n) strict runs, (a,δ/8,2)-dense output, O(n·log²n/δ) rounds",
 		Columns: []string{"n", "δ", "iters", "2n/δ", "strict", "ln n", "rounds", "n·ln²n/δ", "ratio", "dense ok"},
 	}
-	ghost := func(e *sim.Env) {}
 	for _, n := range sizes {
 		d := int(math.Round(math.Pow(float64(n), 0.75)))
 		g, sa, _, err := plantedWorkload(n, d, uint64(n)*13)
@@ -128,12 +126,7 @@ func runE5(cfg Config) (*Table, error) {
 			dense         bool
 		}
 		outcomes := runTrials(cfg, 1, func(_ int, seed uint64) oc {
-			st := &core.WhiteboardStats{}
-			_, err := sim.Run(sim.Config{
-				Graph: g, StartA: sa, StartB: 0,
-				NeighborIDs: true, Seed: seed,
-				MaxRounds: 1 << 40, DisableMeeting: true,
-			}, core.ConstructOnly(cfg.Params, core.Knowledge{Delta: delta}, st), ghost)
+			st, err := constructOnly(g, sa, 0, seed, cfg.Params, core.Knowledge{Delta: delta})
 			if err != nil {
 				return oc{}
 			}
@@ -233,7 +226,6 @@ func runA1(cfg Config) (*Table, error) {
 		Claim:   "§3.3: strict-only pays Θ(n/δ) strict Samples (Θ((n/δ)²·δ·polylog) visits); the optimistic pass removes the per-iteration factor",
 		Columns: []string{"n", "δ", "n/δ", "two-step rounds", "strict-only rounds", "slowdown", "strict runs (2-step)", "strict runs (ablated)"},
 	}
-	ghost := func(e *sim.Env) {}
 	strictParams := cfg.Params
 	strictParams.StrictOnly = true
 	for _, n := range sizes {
@@ -249,12 +241,7 @@ func runA1(cfg Config) (*Table, error) {
 				strict int
 			}
 			outcomes := runTrials(cfg, 1, func(_ int, seed uint64) oc {
-				st := &core.WhiteboardStats{}
-				_, err := sim.Run(sim.Config{
-					Graph: g, StartA: sa, StartB: 0,
-					NeighborIDs: true, Seed: seed,
-					MaxRounds: 1 << 40, DisableMeeting: true,
-				}, core.ConstructOnly(p, core.Knowledge{Delta: delta}, st), ghost)
+				st, err := constructOnly(g, sa, 0, seed, p, core.Knowledge{Delta: delta})
 				if err != nil {
 					return oc{}
 				}
@@ -293,7 +280,6 @@ func runA2(cfg Config) (*Table, error) {
 		Claim:   "Cor. 2: the doubling updates form a geometric series — constant-factor overhead",
 		Columns: []string{"n", "workload", "δ", "known-δ rounds", "doubling rounds", "overhead", "restarts (mean)"},
 	}
-	ghost := func(e *sim.Env) {}
 	for _, n := range sizes {
 		d := int(math.Round(math.Pow(float64(n), 0.75)))
 		base, sa, _, err := plantedWorkload(n, d, uint64(n)*29)
@@ -320,12 +306,7 @@ func runA2(cfg Config) (*Table, error) {
 					restarts int
 				}
 				outcomes := runTrials(cfg, 1, func(_ int, seed uint64) oc {
-					st := &core.WhiteboardStats{}
-					_, err := sim.Run(sim.Config{
-						Graph: g, StartA: sa, StartB: 0,
-						NeighborIDs: true, Seed: seed,
-						MaxRounds: 1 << 40, DisableMeeting: true,
-					}, core.ConstructOnly(cfg.Params, know, st), ghost)
+					st, err := constructOnly(g, sa, 0, seed, cfg.Params, know)
 					if err != nil {
 						return oc{}
 					}

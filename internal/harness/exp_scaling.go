@@ -38,9 +38,8 @@ func theorem2Bound(p core.Params, n, delta int) float64 {
 // mainPhaseTrial runs the warm-start Main-Rendezvous (oracle dense set,
 // Lemma 1 isolation) once.
 func mainPhaseTrial(g *graph.Graph, sa, sb graph.Vertex, seed uint64, maxRounds int64) engine.Outcome {
-	t, via := core.DenseSetOracle(g, sa)
-	return runPair(g, sa, sb, seed, maxRounds, true, true,
-		core.MainPhaseAgentA(t, via), core.AgentB())
+	a, b := core.MainPhaseSteppers(core.DenseSetOracle(g, sa))
+	return runPair(g, sa, sb, seed, maxRounds, true, true, a, b)
 }
 
 // runE1 sweeps n with δ = n^{3/4}: end-to-end Main-Rendezvous against
@@ -220,9 +219,9 @@ func runE3(cfg Config) (*Table, error) {
 			}
 			mech := runTrials(cfg, 1, func(_ int, seed uint64) oc {
 				st := &core.NoboardStats{}
-				a, b := core.NoboardAgents(cfg.Params, delta, st)
+				a, b := core.NoboardSteppers(cfg.Params, delta, st)
 				var events []coloc
-				_, err := sim.Run(sim.Config{
+				_, err := sim.RunSteppers(sim.Config{
 					Graph: g, StartA: sa, StartB: sb,
 					NeighborIDs: true, Whiteboards: false,
 					Seed: seed, MaxRounds: sched,

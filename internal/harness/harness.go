@@ -38,7 +38,7 @@ type Config struct {
 	// i of k runs only its slice of each batch's trials, with seeds
 	// still derived from global trial indices. Tables from a sharded
 	// run summarize partial samples; merge across shards externally.
-	// ShardCount 0 or 1 = unsharded. Bespoke program-pair trials
+	// ShardCount 0 or 1 = unsharded. Bespoke agent-pair trials
 	// (runTrials) are not sharded.
 	ShardIndex, ShardCount int
 	// Params selects the algorithm constants (default
@@ -111,7 +111,7 @@ func ByID(id string) (Experiment, bool) {
 // (batchSeed, trial); results come back in trial order, so downstream
 // aggregation is independent of the worker count. Experiments that
 // run a registered algorithm end-to-end submit an engine batch via
-// runAlgo instead — this generic path is for bespoke program pairs
+// runAlgo instead — this generic path is for bespoke agent pairs
 // (Construct-only diagnostics, oracle warm starts, observer taps).
 func runTrials[T any](cfg Config, batchSeed uint64, f func(trial int, seed uint64) T) []T {
 	return engine.Trials(cfg.Workers, cfg.Seeds, func(i int) T {
@@ -206,12 +206,12 @@ func plantedWorkloads(cfg Config, specs []workloadSpec) ([]workload, error) {
 	})
 }
 
-// runPair executes one bespoke rendezvous trial (custom program
+// runPair executes one bespoke rendezvous trial (custom stepper
 // pair) and reduces it to an engine.Outcome, matching what batches
-// produce. Errors (experiment programs must not panic) surface as
-// Err outcomes, which count as misses.
-func runPair(g *graph.Graph, sa, sb graph.Vertex, seed uint64, maxRounds int64, kt1, boards bool, a, b sim.Program) engine.Outcome {
-	return engine.OutcomeOf(sim.Run(sim.Config{
+// produce. Errors (experiment agents must not abort) surface as Err
+// outcomes, which count as misses.
+func runPair(g *graph.Graph, sa, sb graph.Vertex, seed uint64, maxRounds int64, kt1, boards bool, a, b sim.Stepper) engine.Outcome {
+	return engine.OutcomeOf(sim.RunSteppers(sim.Config{
 		Graph:       g,
 		StartA:      sa,
 		StartB:      sb,
@@ -220,6 +220,26 @@ func runPair(g *graph.Graph, sa, sb graph.Vertex, seed uint64, maxRounds int64, 
 		Seed:        seed,
 		MaxRounds:   maxRounds,
 	}, a, b))
+}
+
+// ghost is the idle partner of the single-agent instruments
+// (Construct-only runs, the Sample classifier): it halts at round 0.
+type ghost struct{}
+
+func (ghost) Init(*sim.StepContext)     {}
+func (ghost) Next(*sim.View) sim.Action { return sim.Halt() }
+
+// constructOnly runs agent a's Construct alone from sa, beside an idle
+// agent b at sb, and returns its diagnostics (T^a, iteration and
+// Sample counts, rounds).
+func constructOnly(g *graph.Graph, sa, sb graph.Vertex, seed uint64, p core.Params, know core.Knowledge) (*core.WhiteboardStats, error) {
+	st := &core.WhiteboardStats{}
+	_, err := sim.RunSteppers(sim.Config{
+		Graph: g, StartA: sa, StartB: sb,
+		NeighborIDs: true, Seed: seed,
+		MaxRounds: 1 << 40, DisableMeeting: true,
+	}, core.ConstructOnlyStepper(p, know, st), ghost{})
+	return st, err
 }
 
 // metRounds extracts the meeting rounds of successful trials.
