@@ -1,9 +1,9 @@
 package fnr
 
-// One benchmark per reproduction experiment (DESIGN.md §4): each run
-// regenerates the corresponding EXPERIMENTS.md table under a reduced
-// (quick) configuration and reports table size and wall time. Full
-// tables are produced by `go run ./cmd/experiments`.
+// One benchmark per reproduction experiment (README, "Reproduction
+// suite"): each run regenerates the corresponding cmd/experiments
+// table under a reduced (quick) configuration and reports table size
+// and wall time. Full tables are produced by `go run ./cmd/experiments`.
 //
 // Micro-benchmarks at the bottom measure the substrate itself
 // (simulator round throughput, generators, Construct, adversary).

@@ -1,5 +1,6 @@
-// Command experiments regenerates the paper-reproduction tables
-// (DESIGN.md §4, results recorded in EXPERIMENTS.md). Trials inside
+// Command experiments regenerates the paper-reproduction tables (the
+// suite of internal/harness, summarized in README, "Reproduction
+// suite"); its output is the record of the results. Trials inside
 // every experiment run on the batch engine's worker pool.
 //
 // Usage:

@@ -19,8 +19,9 @@
 //     visibility, rendezvous = co-location at the start of a round);
 //   - graph generators, including the hard instances behind the
 //     paper's four Ω(·) lower bounds (Theorems 3–6); and
-//   - the experiment suite of DESIGN.md, reproducing every
-//     quantitative claim (see EXPERIMENTS.md for results).
+//   - the experiment suite reproducing every quantitative claim
+//     (README, "Reproduction suite"; cmd/experiments prints the
+//     tables).
 //
 // # Quick start
 //
@@ -104,7 +105,10 @@ type (
 	// engine's trial contexts; long-lived strategies can park state
 	// there across trials (see StepContext.Scratch).
 	AgentScratch = sim.AgentScratch
-	// View is the per-round observation handed to a Stepper.
+	// View is the per-round observation handed to a Stepper. Neighbor
+	// IDs are read through its NeighborID (one port, O(1)) and
+	// AppendNeighborIDs (the whole list into a caller's buffer)
+	// methods; the old NeighborIDs slice field is gone.
 	View = sim.View
 	// Action is one Stepper decision for one acting round.
 	Action = sim.Action
@@ -170,7 +174,8 @@ var (
 	// PaperParams returns the constants exactly as printed in the paper.
 	PaperParams = core.PaperParams
 	// PracticalParams returns constants scaled for laptop-size n (the
-	// default; see DESIGN.md on constant scaling).
+	// default). Scaling changes only the failure-probability exponents,
+	// never the asymptotic round complexity; see core.Params.
 	PracticalParams = core.PracticalParams
 )
 

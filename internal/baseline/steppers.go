@@ -73,7 +73,7 @@ func (s *sweepStepper) Next(v *sim.View) sim.Action {
 	if !s.started {
 		s.started = true
 		s.home = v.HereID
-		s.nbs = append(s.nbs, v.NeighborIDs...)
+		s.nbs = v.AppendNeighborIDs(s.nbs)
 		s.ret.Arm(s.stamp, s.home, len(s.nbs))
 	}
 	if s.i >= len(s.nbs) {
@@ -143,10 +143,10 @@ func (s *dfsStepper) Next(v *sim.View) sim.Action {
 		}
 		s.visited[v.HereID] = true
 	}
-	for p, u := range v.NeighborIDs {
-		if !s.visited[u] {
-			// NeighborIDs is in port order, so the first unvisited
-			// neighbor's index is its port.
+	for p := range v.Degree {
+		if u := v.NeighborID(p); !s.visited[u] {
+			// Neighbor IDs are read in port order, so the first
+			// unvisited neighbor's index is its port.
 			s.visited[u] = true
 			s.path = append(s.path, v.HereID)
 			return sim.Move(p)
@@ -210,8 +210,7 @@ func (s *birthdayStepperA) Next(v *sim.View) sim.Action {
 		}
 		s.started = true
 		s.home = v.HereID
-		s.np = append(s.np[:0], s.home)
-		s.np = append(s.np, v.NeighborIDs...)
+		s.np = v.AppendNeighborIDs(append(s.np[:0], s.home))
 	}
 	switch s.state {
 	case birthdayAProbe:
@@ -289,8 +288,7 @@ func (s *birthdayStepperB) Next(v *sim.View) sim.Action {
 		}
 		s.started = true
 		s.home = v.HereID
-		s.np = append(s.np[:0], s.home)
-		s.np = append(s.np, v.NeighborIDs...)
+		s.np = v.AppendNeighborIDs(append(s.np[:0], s.home))
 	}
 	if s.away {
 		// The mark commits together with the move home (a staged

@@ -24,7 +24,8 @@ import "math"
 // no-whiteboard phase is ⌈4·18·ln n⌉² ≈ 250k rounds at n=1024), so two
 // presets are provided. Scaling the constants changes only the
 // failure-probability exponent, never the asymptotic round complexity;
-// EXPERIMENTS.md reports measured success rates under Practical.
+// E10 (cmd/experiments -run E10) reports measured success rates
+// under Practical.
 type Params struct {
 	// SampleMult is the sample-count multiplier of Algorithm 2: the
 	// run of Sample(Γ, α) visits ⌈SampleMult·|Γ|·ln n/α⌉ random
@@ -86,8 +87,8 @@ func PaperParams() Params {
 // strictly between the α-light and 4α-heavy expectations; the phase
 // length dominates the sweep length), so the asymptotic behaviour and
 // the w.h.p. structure are intact — only the probability exponents
-// shrink. Measured success rates under these constants are reported in
-// EXPERIMENTS.md.
+// shrink. Measured success rates under these constants are reported by
+// E10 (cmd/experiments -run E10).
 func PracticalParams() Params {
 	return Params{
 		SampleMult:         12,

@@ -314,7 +314,8 @@ func (w *walker) sampleRun(gamma []int64, alpha float64, st *WhiteboardStats) ([
 // classified δ/8-heavy for NS = N+(S). The returned walker's ns/nsL is
 // the (a, δ/8, 2)-dense set T^a (Lemma 6).
 //
-// One divergence from the pseudocode, noted in DESIGN.md: vertices
+// One divergence from the pseudocode, shared with the agent-a stepper
+// (stepper_a.go, pcStrictLoop): vertices
 // drawn from R after a strict run are verified exactly by visiting them
 // (the visit is needed anyway to learn N+(x_i)); a candidate that turns
 // out heavy is recorded as such instead of being added to S. This

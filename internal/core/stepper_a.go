@@ -352,7 +352,8 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 		case pcConstructBegin:
 			// Construct prologue: fresh walker core over the (reused)
 			// scratch, home degree check, NS ← N+(home).
-			s.w = newWalkerCore(walkerScratchFor(s.slot), s.graphStamp, s.nPrime, s.p, s.deltaEst, s.know.Doubling, v.HereID, v.NeighborIDs)
+			ws := walkerScratchFor(s.slot)
+			s.w = newWalkerCore(ws, s.graphStamp, s.nPrime, s.p, s.deltaEst, s.know.Doubling, v.HereID, ws.seenIDs(v))
 			if s.w.degreeViolates(v.Degree) {
 				s.pc = pcRestart // home itself violates the estimate
 				continue
@@ -408,7 +409,9 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 			if s.w.degreeViolates(v.Degree) {
 				return s.arriveRestart(v)
 			}
-			s.w.sampleObserve(v.HereID, v.NeighborIDs)
+			if !s.w.sampleObserveMemo(v.HereID) {
+				s.w.sampleObserveList(v.HereID, s.w.s.seenIDs(v))
+			}
 			if act, ok := s.beginReturn(v, pcSampleReturned); ok {
 				return act
 			}
@@ -454,8 +457,9 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 			if s.w.degreeViolates(v.Degree) {
 				return s.arriveRestart(v)
 			}
-			s.ecCnt = s.w.countAgainstNS(v.HereID, v.NeighborIDs)
-			s.w.noteLastSeen(v.HereID, v.NeighborIDs)
+			nbs := s.w.s.seenIDs(v)
+			s.ecCnt = s.w.countAgainstNS(v.HereID, nbs)
+			s.w.noteLastSeen(v.HereID, nbs)
 			if act, ok := s.beginReturn(v, pcProbeReturned); ok {
 				return act
 			}
@@ -500,8 +504,9 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 			if s.w.degreeViolates(v.Degree) {
 				return s.arriveRestart(v)
 			}
-			s.ecCnt = s.w.countAgainstNS(v.HereID, v.NeighborIDs)
-			s.w.noteLastSeen(v.HereID, v.NeighborIDs)
+			nbs := s.w.s.seenIDs(v)
+			s.ecCnt = s.w.countAgainstNS(v.HereID, nbs)
+			s.w.noteLastSeen(v.HereID, nbs)
 			if act, ok := s.beginReturn(v, pcStrictReturned); ok {
 				return act
 			}
@@ -528,7 +533,7 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 			if s.w.degreeViolates(v.Degree) {
 				return s.arriveRestart(v)
 			}
-			s.sampleSet = s.w.learn(v.HereID, v.NeighborIDs) // Γ_{i+1}
+			s.sampleSet = s.w.learn(v.HereID, s.w.s.seenIDs(v)) // Γ_{i+1}
 			if act, ok := s.beginReturn(v, pcIterBegin); ok {
 				return act
 			}
@@ -694,7 +699,8 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 			return sim.Halt()
 
 		case pcClassify: // Lemma-2 instrument: Sample(N+(home), δ/AlphaDen)
-			s.w = newWalkerCore(walkerScratchFor(s.slot), s.graphStamp, s.nPrime, s.p, float64(s.know.Delta), false, v.HereID, v.NeighborIDs)
+			ws := walkerScratchFor(s.slot)
+			s.w = newWalkerCore(ws, s.graphStamp, s.nPrime, s.p, float64(s.know.Delta), false, v.HereID, ws.seenIDs(v))
 			s.startSample(s.w.learn(s.w.home, s.w.s.homeNb), pcClassified)
 
 		case pcClassified: // back home: report H' and halt
@@ -705,7 +711,8 @@ func (s *nativeAgentA) nextFrom(v *sim.View) sim.Action {
 			return sim.Halt()
 
 		case pcWarmStart: // oracle T^a: skip Construct, sample T^a at once
-			s.w = newWalkerCore(walkerScratchFor(s.slot), s.graphStamp, s.nPrime, s.p, 1, false, v.HereID, v.NeighborIDs)
+			ws := walkerScratchFor(s.slot)
+			s.w = newWalkerCore(ws, s.graphStamp, s.nPrime, s.p, 1, false, v.HereID, ws.seenIDs(v))
 			for _, id := range s.warmT {
 				via, ok := s.warmVia[id]
 				if !ok {

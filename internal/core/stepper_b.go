@@ -77,8 +77,7 @@ func (s *whiteboardBStepper) Next(v *sim.View) sim.Action {
 	if s.np == nil {
 		s.home = v.HereID
 		sc := bScratchFor(s.slot)
-		sc.np = append(sc.np[:0], s.home)
-		sc.np = append(sc.np, v.NeighborIDs...)
+		sc.np = v.AppendNeighborIDs(append(sc.np[:0], s.home))
 		s.np = sc.np
 		sc.ret.Arm(s.stamp, s.home, len(sc.np))
 		s.ret = &sc.ret
@@ -194,8 +193,7 @@ func (s *noboardBStepper) Next(v *sim.View) sim.Action {
 			s.sched = sched
 			s.home = v.HereID
 			sc := bScratchFor(s.slot)
-			sc.np = append(sc.np[:0], s.home)
-			sc.np = append(sc.np, v.NeighborIDs...)
+			sc.np = v.AppendNeighborIDs(append(sc.np[:0], s.home))
 			sc.phi = sampleSubsetInto(s.rng, sc.phi, sc.np, sched.prob)
 			s.phi = sc.phi
 			if s.nst != nil {

@@ -24,6 +24,9 @@ type walkerScratch struct {
 	npHomeL    []int64
 	nsL        []int64
 	lastSeenNb []int64
+	// seen is the agent-a stepper's copy of the current view's
+	// neighbor IDs (see seenIDs).
+	seen []int64
 	// ret caches, per npHomeL position, the port from that vertex back
 	// to home. Every Sample draw and every distance-2 trip ends
 	// standing on a neighbor of home, so the cache turns the return
@@ -153,6 +156,15 @@ func newWalkerCore(s *walkerScratch, graphStamp uint64, nPrime int64, p *Params,
 		s.via.setIfMissing(id, id)
 	}
 	return w
+}
+
+// seenIDs copies the view's neighbor IDs into the seen buffer and
+// returns it, valid until the next call. The agent-a machine calls it
+// only on the rounds that walk the whole list (a memo miss, learn, the
+// exact check, a fresh core); every other round reads no IDs.
+func (s *walkerScratch) seenIDs(v *sim.View) []int64 {
+	s.seen = v.AppendNeighborIDs(s.seen[:0])
+	return s.seen
 }
 
 // alpha returns α = δ'/AlphaDen.
@@ -310,20 +322,38 @@ func (w *walkerCore) sampleObserveHome() {
 // every observed ID unconditionally: IDs outside N+(home) land on
 // slots nothing reads. Both forms leave the N+(home) counters exactly
 // equal. Map mode looks each observed ID up in npIdx.
+//
+// A caller that has to copy the neighbor list out first (the stepper
+// reads it through the view) tries sampleObserveMemo alone and only
+// copies on a miss; sampleObserve is that pair for a caller already
+// holding the list.
 func (w *walkerCore) sampleObserve(self int64, nbs []int64) {
+	if !w.sampleObserveMemo(self) {
+		w.sampleObserveList(self, nbs)
+	}
+}
+
+// sampleObserveMemo credits a visit to self from the overlap memo and
+// reports whether it could: false in map mode and when self has no
+// memoized list yet. It never reads self's neighbor list.
+func (w *walkerCore) sampleObserveMemo(self int64) bool {
+	if !w.denseCounts {
+		return false
+	}
+	list, ok := w.s.overlap(self)
+	if ok {
+		w.s.bumpOverlap(list)
+	}
+	return ok
+}
+
+// sampleObserveList is sampleObserve after a memo miss: memoize self's
+// overlap if it fits, else count every observed ID.
+func (w *walkerCore) sampleObserveList(self int64, nbs []int64) {
 	ws := w.s
 	if w.denseCounts {
-		list, ok := ws.overlap(self)
-		if !ok {
-			list, ok = ws.memoOverlap(self, nbs, overlapMemoWords*int(w.nPrime))
-		}
-		if ok {
-			for _, u := range list {
-				if u < 0 { // the next vertex's header
-					break
-				}
-				ws.counts[u]++
-			}
+		if list, ok := ws.memoOverlap(self, nbs, overlapMemoWords*int(w.nPrime)); ok {
+			ws.bumpOverlap(list)
 			return
 		}
 		ws.counts[self]++
@@ -339,6 +369,17 @@ func (w *walkerCore) sampleObserve(self int64, nbs []int64) {
 		if j := ws.npIdx.get(u); j >= 0 {
 			ws.counts[j]++
 		}
+	}
+}
+
+// bumpOverlap bumps the dense counters of one memoized overlap list,
+// which runs to the next vertex's (negative) header.
+func (ws *walkerScratch) bumpOverlap(list []int32) {
+	for _, u := range list {
+		if u < 0 {
+			break
+		}
+		ws.counts[u]++
 	}
 }
 

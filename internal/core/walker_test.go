@@ -26,7 +26,7 @@ type memoHarness struct {
 // then a fresh Sample run (counters zeroed).
 func (h *memoHarness) arm(g *graph.Graph, stamp uint64, home graph.Vertex) {
 	h.g, h.hv = g, home
-	h.w = newWalkerCore(h.s, stamp, g.NPrime(), &h.p, float64(g.MinDegree()), false, g.ID(home), g.NeighborIDList(home))
+	h.w = newWalkerCore(h.s, stamp, g.NPrime(), &h.p, float64(g.MinDegree()), false, g.ID(home), g.IDsOfNeighbors(home, nil))
 	h.w.sampleReset()
 	h.want = map[int64]int32{}
 }
@@ -38,7 +38,7 @@ func (h *memoHarness) observe(v graph.Vertex) {
 	if v == h.hv {
 		h.w.sampleObserveHome()
 	} else {
-		h.w.sampleObserve(h.g.ID(v), h.g.NeighborIDList(v))
+		h.w.sampleObserve(h.g.ID(v), h.g.IDsOfNeighbors(v, nil))
 	}
 	for _, u := range h.s.npHomeL {
 		uv, _ := h.g.VertexByID(u)
@@ -155,14 +155,21 @@ func TestSampleOverlapMemoWarmAllocs(t *testing.T) {
 	}
 	h := &memoHarness{t: t, s: &walkerScratch{}, p: PracticalParams()}
 	h.arm(g, g.Stamp(), 10)
+	// The agent-a stepper's form: a memo hit reads no neighbor list,
+	// a miss copies it into reused scratch first.
+	var nbs []int64
 	visit := func() {
 		for v := range graph.Vertex(g.N()) {
-			h.w.sampleObserve(g.ID(v), g.NeighborIDList(v))
+			if !h.w.sampleObserveMemo(g.ID(v)) {
+				nbs = g.IDsOfNeighbors(v, nbs[:0])
+				h.w.sampleObserveList(g.ID(v), nbs)
+			}
 		}
 	}
 	visit()
+	homeNb := g.IDsOfNeighbors(10, nil)
 	if allocs := testing.AllocsPerRun(5, func() {
-		h.w = newWalkerCore(h.s, g.Stamp(), g.NPrime(), &h.p, float64(g.MinDegree()), false, g.ID(10), g.NeighborIDList(10))
+		h.w = newWalkerCore(h.s, g.Stamp(), g.NPrime(), &h.p, float64(g.MinDegree()), false, g.ID(10), homeNb)
 		h.w.sampleReset()
 		visit()
 	}); allocs != 0 {

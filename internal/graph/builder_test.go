@@ -131,8 +131,6 @@ func sameDerived(g, h *Graph) string {
 		return "ids, offsets or port-order rows"
 	case !slices.Equal(g.sorted, h.sorted):
 		return "sorted"
-	case !slices.Equal(g.nbrIDs, h.nbrIDs):
-		return "nbrIDs"
 	case !slices.Equal(g.idSorted, h.idSorted):
 		return "idSorted"
 	case !slices.Equal(g.idPort, h.idPort):

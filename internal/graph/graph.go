@@ -25,11 +25,14 @@
 // (CSR) form: a single offsets array of n+1 cursors into flat backing
 // arrays holding all 2m arcs contiguously. Parallel per-arc arrays
 // share the one offsets table — the port-ordered neighbor indices
-// (Adj), the per-vertex ascending neighbor indices (HasEdge), the
-// port-ordered neighbor IDs (NeighborIDList), and the per-vertex
-// ID-sorted (ID, port) index (PortOfID), whose IDs are kept only when
-// they differ from the indices. Adj and NeighborIDList
-// therefore return zero-copy subslices of contiguous memory, per-round
+// (Adj), the per-vertex ascending neighbor indices (HasEdge), and the
+// per-vertex ID-sorted (ID, port) index (PortOfID), whose IDs are kept
+// only when they differ from the indices. Every per-arc array is 4
+// bytes wide under identity naming (ID = index, every generator's
+// default), so an arc costs 12 bytes; another naming adds the 8-byte
+// sorted IDs. Neighbor IDs in port order are not stored a second time:
+// NeighborIDRun resolves the zero-copy Adj run through the naming
+// (the index itself, or the per-vertex ID table), so per-round
 // accesses walk cache lines instead of chasing per-vertex slice
 // headers, and a 65k-vertex δ=√n graph is a handful of flat arrays
 // rather than hundreds of thousands of small allocations.
@@ -75,7 +78,6 @@ type Graph struct {
 	offsets []int64
 	nbrs    []Vertex // port order: nbrs[offsets[v]+p] = neighbor of v behind port p
 	sorted  []Vertex // per-vertex ascending, for HasEdge binary search
-	nbrIDs  []int64  // port order: nbrIDs[offsets[v]+p] = ID(nbrs[offsets[v]+p])
 	// Per-vertex ID->port index: idSorted holds v's neighbor IDs
 	// ascending, idPort the matching ports, so PortOfID is a binary
 	// search instead of an O(deg) scan. Under identity naming the ID
@@ -83,8 +85,9 @@ type Graph struct {
 	// widened to int64: it stays nil and PortOfID searches sorted.
 	idSorted []int64
 	idPort   []int32
-	identity bool  // ids[v] = v for every vertex
-	nPrime   int64 // ID-space bound n' (all IDs are in [0, n'))
+	identity bool    // ids[v] = v for every vertex
+	names    []int64 // ids, or nil under identity naming: what IDRun resolves through
+	nPrime   int64   // ID-space bound n' (all IDs are in [0, n'))
 	minDeg   int
 	maxDeg   int
 	edges    int
@@ -110,17 +113,17 @@ func (g *Graph) Stamp() uint64 { return g.stamp }
 func (g *Graph) N() int { return len(g.ids) }
 
 // FootprintBytes reports the retained size of the graph's backing
-// arrays: the CSR offsets and the parallel per-arc arrays, the ID
-// table, and whichever ID→vertex index form this graph carries (dense
-// inverse or sorted pairs). It is the eviction weight for graph
-// caches and the baseline benchmark memory witnesses subtract.
+// arrays: the CSR offsets and the parallel per-arc arrays (12 bytes
+// per arc under identity naming, 20 otherwise), the ID table, and
+// whichever ID→vertex index form this graph carries (dense inverse or
+// sorted pairs). It is the eviction weight for graph caches and the
+// baseline benchmark memory witnesses subtract.
 func (g *Graph) FootprintBytes() int64 {
 	return 8*int64(len(g.ids)) +
 		4*int64(len(g.idToV)) +
 		8*int64(len(g.idKeys)) + 4*int64(len(g.idVerts)) +
 		8*int64(len(g.offsets)) +
 		4*int64(len(g.nbrs)) + 4*int64(len(g.sorted)) +
-		8*int64(len(g.nbrIDs)) +
 		8*int64(len(g.idSorted)) + 4*int64(len(g.idPort))
 }
 
@@ -212,16 +215,54 @@ func (g *Graph) PortTo(u, v Vertex) int {
 // IDsOfNeighbors appends the identifiers of v's neighbors, in port
 // order, to dst and returns the extended slice.
 func (g *Graph) IDsOfNeighbors(v Vertex, dst []int64) []int64 {
-	return append(dst, g.NeighborIDList(v)...)
+	return g.NeighborIDRun(v).AppendTo(dst)
 }
 
-// NeighborIDList returns the identifiers of v's neighbors in port
-// order as a slice shared with the graph — no copy, so it is the
-// per-round fast path for the simulator's views. Callers must treat
-// it as read-only: the graph is immutable and the slice is shared by
-// every concurrent run on it.
-func (g *Graph) NeighborIDList(v Vertex) []int64 {
-	return g.nbrIDs[g.offsets[v]:g.offsets[v+1]:g.offsets[v+1]]
+// NeighborIDRun returns read access to the identifiers of v's
+// neighbors in port order, without copying: the run holds v's shared
+// Adj run and resolves each entry through the graph's naming when
+// read. It is the per-round fast path for the simulator's views.
+func (g *Graph) NeighborIDRun(v Vertex) IDRun {
+	return IDRun{nbrs: g.Adj(v), names: g.names}
+}
+
+// IDRun is one vertex's neighbor IDs in port order, read through the
+// naming instead of stored: entry p is the ID of the neighbor behind
+// port p. The zero IDRun is empty. It shares the graph's immutable
+// arrays, so it stays valid as long as the graph and is safe for
+// concurrent reads.
+type IDRun struct {
+	nbrs  []Vertex // the vertex's port-ordered neighbors (shared)
+	names []int64  // index -> ID; nil under identity naming
+}
+
+// Len returns the number of entries: the vertex's degree, or 0 for
+// the zero IDRun.
+func (r IDRun) Len() int { return len(r.nbrs) }
+
+// At returns the ID of the neighbor behind port p in O(1), without
+// copying. It panics if p is outside [0, Len()).
+func (r IDRun) At(p int) int64 {
+	if r.names == nil {
+		return int64(r.nbrs[p])
+	}
+	return r.names[r.nbrs[p]]
+}
+
+// AppendTo appends every entry, in port order, to dst and returns the
+// extended slice.
+func (r IDRun) AppendTo(dst []int64) []int64 {
+	dst = slices.Grow(dst, len(r.nbrs))
+	if r.names == nil {
+		for _, u := range r.nbrs {
+			dst = append(dst, int64(u))
+		}
+		return dst
+	}
+	for _, u := range r.nbrs {
+		dst = append(dst, r.names[u])
+	}
+	return dst
 }
 
 // PortOfID returns the local port of v leading to the neighbor with
@@ -411,7 +452,7 @@ func (s idPortSorter) Swap(i, j int) {
 // buildDerived computes every derived field of a graph whose ids,
 // offsets, nbrs and nPrime fields are populated: the naming, the ID
 // index, degree extremes and edge count, and the remaining flat
-// per-arc arrays (sorted adjacency, neighbor IDs, ID->port index). Per-vertex
+// per-arc arrays (sorted adjacency and the ID->port index). Per-vertex
 // assembly — the sorts in particular — fans out over vertex blocks,
 // and the (ID, port) co-sort runs as a single flat uint64 sort per
 // vertex whenever the ID and port widths pack into one word (they do
@@ -423,47 +464,38 @@ func (g *Graph) buildDerived() {
 	n := len(g.ids)
 	arcs := len(g.nbrs)
 	g.initIndexes()
-	g.nbrIDs = make([]int64, arcs)
 
 	// Tight identity naming (ids[v] = v, every generator's default)
 	// means ID order equals index order, so ONE packed sort per vertex
 	// on (neighbor index, port) keys yields sorted and idPort together
 	// — measurably faster than an int32 sort plus a second co-sort,
 	// and far faster than the seed's interface-based sort.Sort. Under
-	// other labelings sorted gets its own int32 sort
-	// and the (ID, port) pairs co-sort as packed uint64 keys when the
-	// ID and port widths fit 63 bits together (they do for every graph
-	// the parsers accept), falling back to the interface sort for
-	// astronomically sparse namings. Invalid inputs (IDs or neighbors
-	// out of range) may pack garbage keys; buildDerived only has to be
-	// deterministic on them, not meaningful, because Validate rejects
-	// such graphs before anyone queries the index.
+	// other labelings sorted gets its own int32 sort and the (ID, port)
+	// pairs co-sort as in coSortIDPort. Invalid inputs (IDs or
+	// neighbors out of range) may pack garbage keys; buildDerived only
+	// has to be deterministic on them, not meaningful, because
+	// Validate rejects such graphs before anyone queries the index.
 	g.sorted = make([]Vertex, arcs)
 	g.idPort = make([]int32, arcs)
-	keys, portBits, portMask := g.idPortKeys(g.identity)
+	kp := g.idPortKeys(g.identity)
 
 	parallelBlocks(n, func(lo, hi Vertex) {
+		var keys []uint64 // this block's key scratch, one vertex at a time
 		for v := lo; v < hi; v++ {
 			o, e := g.offsets[v], g.offsets[v+1]
-			idRun := g.nbrIDs[o:e]
 			if g.identity {
 				// Keys are (index << portBits) | port: the index fits
 				// 32 bits (Vertex is int32) and portBits ≤ 31, so the
 				// key always fits. uint32 round-trips negative
 				// (invalid) indices exactly; they merely sort high.
-				ks := keys[o:e]
+				keys = growKeys(keys, int(e-o))
 				for p, w := range g.nbrs[o:e] {
-					ks[p] = uint64(uint32(w))<<portBits | uint64(p)
-					if int(w) >= 0 && int(w) < n {
-						idRun[p] = int64(w)
-					} else {
-						idRun[p] = NoID
-					}
+					keys[p] = uint64(uint32(w))<<kp.portBits | uint64(p)
 				}
-				slices.Sort(ks)
-				for i, k := range ks {
-					g.sorted[int(o)+i] = Vertex(int32(uint32(k >> portBits)))
-					g.idPort[int(o)+i] = int32(k & portMask)
+				slices.Sort(keys)
+				for i, k := range keys {
+					g.sorted[int(o)+i] = Vertex(int32(uint32(k >> kp.portBits)))
+					g.idPort[int(o)+i] = int32(k & kp.portMask)
 				}
 				continue
 			}
@@ -471,16 +503,7 @@ func (g *Graph) buildDerived() {
 			sortRun := g.sorted[o:e]
 			copy(sortRun, g.nbrs[o:e])
 			slices.Sort(sortRun)
-			// Port-ordered neighbor IDs (out-of-range neighbors map to
-			// NoID and are left for Validate to report).
-			for i, w := range g.nbrs[o:e] {
-				if int(w) >= 0 && int(w) < n {
-					idRun[i] = g.ids[w]
-				} else {
-					idRun[i] = NoID
-				}
-			}
-			g.coSortIDPort(o, e, keys, portBits, portMask)
+			keys = g.coSortIDPort(o, e, kp, keys)
 		}
 	})
 }
@@ -498,9 +521,10 @@ func (g *Graph) initIndexes() {
 			break
 		}
 	}
-	g.idSorted = nil
+	g.idSorted, g.names = nil, nil
 	if !g.identity {
 		g.idSorted = make([]int64, len(g.nbrs))
+		g.names = g.ids
 	}
 	g.buildIDIndex()
 	g.computeDegreeStats()
@@ -522,45 +546,75 @@ func (g *Graph) computeDegreeStats() {
 	g.edges = len(g.nbrs) / 2
 }
 
-// idPortKeys decides the packed-key representation for the (ID, port)
-// co-sorts: a shared scratch array plus the bit split when the ID and
-// port widths fit one uint64 key (always, under identity naming — the
-// key packs the 32-bit index instead of the ID), nil keys to select
-// the interface-sort fallback otherwise. Must run after
-// computeDegreeStats (portBits derives from the maximum degree).
-func (g *Graph) idPortKeys(identity bool) (keys []uint64, portBits int, portMask uint64) {
-	portBits = bits.Len(uint(max(g.maxDeg-1, 0)))
-	portMask = uint64(1)<<portBits - 1
-	idBits := bits.Len64(uint64(max(g.nPrime-1, 0)))
-	if identity || idBits+portBits <= 63 {
-		keys = make([]uint64, len(g.nbrs))
-	}
-	return keys, portBits, portMask
+// keyPacking is the layout of the (ID, port) co-sort keys: with
+// packed set, a key is ID<<portBits | port in one uint64; otherwise
+// the co-sort falls back to the interface sort.
+type keyPacking struct {
+	packed   bool
+	portBits int
+	portMask uint64
 }
 
-// coSortIDPort builds the ID->port index run [o, e) by co-sorting the
-// already-filled nbrIDs run with its ports — as packed uint64 keys
-// when keys is non-nil, through the interface sort otherwise.
-func (g *Graph) coSortIDPort(o, e int64, keys []uint64, portBits int, portMask uint64) {
-	idRun := g.nbrIDs[o:e]
-	if keys != nil {
-		ks := keys[o:e]
-		for p, id := range idRun {
-			ks[p] = uint64(id)<<portBits | uint64(p)
-		}
-		slices.Sort(ks)
-		for i, k := range ks {
-			g.idSorted[int(o)+i] = int64(k >> portBits)
-			g.idPort[int(o)+i] = int32(k & portMask)
-		}
-		return
+// idPortKeys decides the packed-key layout for the (ID, port)
+// co-sorts: packed when the ID and port widths fit one uint64 key
+// (always, under identity naming — the key packs the 32-bit index
+// instead of the ID). Must run after computeDegreeStats (portBits
+// derives from the maximum degree).
+func (g *Graph) idPortKeys(identity bool) keyPacking {
+	portBits := bits.Len(uint(max(g.maxDeg-1, 0)))
+	idBits := bits.Len64(uint64(max(g.nPrime-1, 0)))
+	return keyPacking{
+		packed:   identity || idBits+portBits <= 63,
+		portBits: portBits,
+		portMask: uint64(1)<<portBits - 1,
 	}
-	copy(g.idSorted[o:e], idRun)
-	run := g.idPort[o:e]
-	for p := range run {
+}
+
+// growKeys returns key scratch of length n, reusing ks's capacity.
+// Each derivation block keeps one, sized by the largest degree it has
+// met, so the keys never cost a per-arc array.
+func growKeys(ks []uint64, n int) []uint64 {
+	if cap(ks) < n {
+		return make([]uint64, n, max(n, 2*cap(ks)))
+	}
+	return ks[:n]
+}
+
+// idOf returns the ID of vertex w, or NoID when w is out of range
+// (left for Validate to report).
+func (g *Graph) idOf(w Vertex) int64 {
+	if int(w) >= 0 && int(w) < len(g.ids) {
+		return g.ids[w]
+	}
+	return NoID
+}
+
+// coSortIDPort builds the ID->port index run [o, e) of a graph that
+// does not use identity naming, by co-sorting the run's neighbor IDs
+// (read through the naming) with their ports: as packed uint64 keys in
+// the scratch keys when kp.packed, through the interface sort
+// otherwise. It returns the (possibly grown) scratch.
+func (g *Graph) coSortIDPort(o, e int64, kp keyPacking, keys []uint64) []uint64 {
+	nbrs := g.nbrs[o:e]
+	if kp.packed {
+		keys = growKeys(keys, len(nbrs))
+		for p, w := range nbrs {
+			keys[p] = uint64(g.idOf(w))<<kp.portBits | uint64(p)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			g.idSorted[int(o)+i] = int64(k >> kp.portBits)
+			g.idPort[int(o)+i] = int32(k & kp.portMask)
+		}
+		return keys
+	}
+	ids, run := g.idSorted[o:e], g.idPort[o:e]
+	for p, w := range nbrs {
+		ids[p] = g.idOf(w)
 		run[p] = int32(p)
 	}
-	sort.Sort(idPortSorter{ids: g.idSorted[o:e], ports: run})
+	sort.Sort(idPortSorter{ids: ids, ports: run})
+	return keys
 }
 
 // buildIDIndex builds the map-free identifier -> index structure: the
@@ -669,31 +723,19 @@ func fromCSRSorted(ids []int64, offsets []int64, sorted []Vertex, ports []int32,
 // are known up front — the binary reader's payload, or a Builder's
 // membership sets: under identity naming nothing needs sorting at all
 // — ports IS the ID->port index — and under other labelings only the
-// ID co-sort remains.
+// ID co-sort remains, which overwrites ports in place (the co-sort
+// never reads it).
 func (g *Graph) buildDerivedPresorted(ports []int32) {
-	n := len(g.ids)
-	arcs := len(g.nbrs)
 	g.initIndexes()
-	g.nbrIDs = make([]int64, arcs)
+	g.idPort = ports
 	if g.identity {
-		g.idPort = ports
-		parallelBlocks(n, func(lo, hi Vertex) {
-			for i := g.offsets[lo]; i < g.offsets[hi]; i++ {
-				g.nbrIDs[i] = int64(g.nbrs[i])
-			}
-		})
 		return
 	}
-	g.idPort = make([]int32, arcs)
-	keys, portBits, portMask := g.idPortKeys(false)
-	parallelBlocks(n, func(lo, hi Vertex) {
+	kp := g.idPortKeys(false)
+	parallelBlocks(len(g.ids), func(lo, hi Vertex) {
+		var keys []uint64
 		for v := lo; v < hi; v++ {
-			o, e := g.offsets[v], g.offsets[v+1]
-			idRun := g.nbrIDs[o:e]
-			for i, w := range g.nbrs[o:e] {
-				idRun[i] = g.ids[w]
-			}
-			g.coSortIDPort(o, e, keys, portBits, portMask)
+			keys = g.coSortIDPort(g.offsets[v], g.offsets[v+1], kp, keys)
 		}
 	})
 }

@@ -57,7 +57,7 @@ func TestBinaryRoundTripAllFamilies(t *testing.T) {
 			// presorted fast path: spot-check them against the
 			// original's query results.
 			for v := Vertex(0); int(v) < g.N(); v++ {
-				for p, id := range g.NeighborIDList(v) {
+				for p, id := range g.IDsOfNeighbors(v, nil) {
 					if got := h.PortOfID(v, id); got != g.PortOfID(v, id) {
 						t.Fatalf("PortOfID(%d, %d) = %d, want %d", v, id, got, g.PortOfID(v, id))
 					}

@@ -1,10 +1,10 @@
 // Package harness defines the experiment suite that validates every
-// quantitative claim of the paper (see DESIGN.md §4 for the index):
+// quantitative claim of the paper (All is the index):
 // E1–E3 validate the upper-bound theorems' scaling, E4–E5 the Sample
 // and Construct lemmas, E6–E9 the four lower bounds, E10 the w.h.p.
 // claims, and A1–A2 the design-choice ablations. Each experiment
-// produces a Table that cmd/experiments prints and EXPERIMENTS.md
-// records.
+// produces a Table that cmd/experiments prints as markdown, CSV or
+// JSON.
 package harness
 
 import (
@@ -42,7 +42,7 @@ type Config struct {
 	// (runTrials) are not sharded.
 	ShardIndex, ShardCount int
 	// Params selects the algorithm constants (default
-	// core.PracticalParams; see DESIGN.md on constant scaling).
+	// core.PracticalParams; see core.Params on constant scaling).
 	Params core.Params
 }
 
@@ -65,7 +65,8 @@ func (c Config) withDefaults() Config {
 
 // Experiment is one entry of the suite.
 type Experiment struct {
-	// ID is the DESIGN.md identifier ("E1" … "E10", "A1", "A2").
+	// ID is the identifier cmd/experiments -run selects ("E1" … "E12",
+	// "S1", "A1", "A2").
 	ID string
 	// Title is a one-line description.
 	Title string

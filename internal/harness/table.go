@@ -43,7 +43,7 @@ func trimFloat(v float64) string {
 }
 
 // Render formats the table as GitHub-flavored markdown (directly
-// embeddable in EXPERIMENTS.md).
+// embeddable in a markdown document such as a results page).
 func (t *Table) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s — %s\n\n", t.ID, t.Title)

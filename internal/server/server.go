@@ -17,6 +17,13 @@
 //	DELETE /v1/batches/{id}  cancel (idempotent)
 //	GET    /metrics          Prometheus text format
 //	GET    /healthz          200 while serving, 503 while draining
+//
+// The daemon remembers every queued and running job, but only the
+// maxFinishedJobs most recently finished ones (done, failed or
+// cancelled): past that, the oldest finished job is forgotten, and
+// GET or DELETE of its id answers 404 like an id never issued. A
+// client collects an aggregate well before a thousand later jobs
+// finish, and a long-lived daemon's memory stays flat.
 package server
 
 import (
@@ -25,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -102,7 +110,8 @@ type Server struct {
 	draining bool
 	seq      int
 	jobs     map[string]*jobState
-	order    []string
+	order    []string // ids of the remembered jobs, in submission order
+	finished []string // ids of the remembered finished jobs, oldest first
 	// Counter state for /metrics.
 	submitted, rejected, completed, failed, cancelled uint64
 	inflight                                          int
@@ -206,8 +215,8 @@ func (s *Server) process(js *jobState) {
 		js.state = stateCancelled
 		js.errs = "server draining"
 		s.cancelled++
+		s.finishLocked(js)
 		s.mu.Unlock()
-		close(js.done)
 		return
 	}
 	js.state = stateRunning
@@ -248,8 +257,33 @@ func (s *Server) process(js *jobState) {
 		js.errs = err.Error()
 		s.failed++
 	}
+	s.finishLocked(js)
 	s.mu.Unlock()
+}
+
+// maxFinishedJobs bounds how many finished jobs the daemon remembers
+// (see the package doc). Each costs its spec, its aggregate's JSON and
+// its map and list entries.
+const maxFinishedJobs = 1024
+
+// finishLocked completes js's move to a terminal state: it releases
+// js's context, so a finished job no longer hangs off the daemon's
+// base context, closes done, and forgets the oldest finished job once
+// more than maxFinishedJobs are remembered. Queued and running jobs
+// are never forgotten. Callers hold s.mu.
+func (s *Server) finishLocked(js *jobState) {
+	js.cancel()
 	close(js.done)
+	s.finished = append(s.finished, js.id)
+	if len(s.finished) <= maxFinishedJobs {
+		return
+	}
+	old := s.finished[0]
+	s.finished = s.finished[1:]
+	delete(s.jobs, old)
+	if i := slices.Index(s.order, old); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
+	}
 }
 
 // execute is the production run function: resolve the workload
@@ -414,7 +448,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		js.state = stateCancelled
 		js.errs = "cancelled before start"
 		s.cancelled++
-		close(js.done)
+		s.finishLocked(js)
 	}
 	js.cancel()
 	resp := statusLocked(js)

@@ -599,3 +599,110 @@ func TestMetricsSchema(t *testing.T) {
 		t.Errorf("metrics Content-Type = %q", ct)
 	}
 }
+
+// TestFinishedJobsBounded submits past maxFinishedJobs through the
+// run-hook seam: a finished job's context is released, the oldest
+// finished ids answer 404, the list stays bounded, and a job still
+// running when the cap is passed is never forgotten.
+func TestFinishedJobsBounded(t *testing.T) {
+	srv := New(Config{Jobs: 2})
+	defer srv.Drain(context.Background())
+	started, release := make(chan struct{}), make(chan struct{})
+	srv.run = func(ctx context.Context, js *jobState) (*job.Result, error) {
+		if js.spec.Seed == 0 {
+			close(started)
+			select { // the long job holds one worker throughout
+			case <-release:
+			case <-ctx.Done(): // Drain, on a failed check
+			}
+		}
+		return nil, nil
+	}
+	submit := func(seed uint64) string {
+		body, err := json.Marshal(job.Spec{
+			Algorithm: "sweep",
+			Workload:  &job.Workload{Kind: "planted", N: 64, D: 8, Seed: 3},
+			Trials:    1,
+			Seed:      seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batches", bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", seed, rec.Code)
+		}
+		var st statusResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	status := func(id string) (int, statusResponse) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/batches/"+id, nil))
+		var st statusResponse
+		json.Unmarshal(rec.Body.Bytes(), &st)
+		return rec.Code, st
+	}
+	wait := func(id string) {
+		srv.mu.Lock()
+		done := srv.jobs[id].done
+		srv.mu.Unlock()
+		<-done
+	}
+
+	long := submit(0)
+	<-started
+	const extra = 5
+	ids := make([]string, maxFinishedJobs+extra)
+	for i := range ids {
+		ids[i] = submit(uint64(i + 1))
+		wait(ids[i])
+	}
+	srv.mu.Lock()
+	released := srv.jobs[ids[len(ids)-1]].ctx.Err() != nil
+	srv.mu.Unlock()
+	if !released {
+		t.Fatal("a finished job's context is still live under the daemon's base context")
+	}
+	for _, id := range ids[:extra] {
+		if code, _ := status(id); code != http.StatusNotFound {
+			t.Fatalf("GET of forgotten job %s = %d, want 404", id, code)
+		}
+	}
+	if code, st := status(ids[extra]); code != http.StatusOK || st.State != stateDone {
+		t.Fatalf("GET of oldest remembered job = %d %q, want 200 done", code, st.State)
+	}
+	if code, st := status(long); code != http.StatusOK || st.State != stateRunning {
+		t.Fatalf("GET of running job = %d %q, want 200 running", code, st.State)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/batches", nil))
+	var list struct {
+		Batches []struct{ ID, State string }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Batches) != maxFinishedJobs+1 || list.Batches[0].ID != long || list.Batches[1].ID != ids[extra] {
+		t.Fatalf("list holds %d jobs starting %v, want the running job then the %d newest finished",
+			len(list.Batches), list.Batches[:2], maxFinishedJobs)
+	}
+
+	close(release)
+	wait(long)
+	if code, _ := status(long); code != http.StatusOK {
+		t.Fatalf("GET of the just-finished job = %d, want 200", code)
+	}
+	if code, _ := status(ids[extra]); code != http.StatusNotFound {
+		t.Fatalf("GET of the job pushed out by the long job's finish = %d, want 404", code)
+	}
+	srv.mu.Lock()
+	remembered := len(srv.jobs)
+	srv.mu.Unlock()
+	if remembered != maxFinishedJobs {
+		t.Fatalf("daemon remembers %d jobs, want %d", remembered, maxFinishedJobs)
+	}
+}

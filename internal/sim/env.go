@@ -26,6 +26,10 @@ type Env struct {
 	host    *pullProgramStepper // the coroutine running this program
 	staged  bool                // staged whiteboard write
 	stagedV int64               // value of the staged write
+	// nbuf holds the current round's neighbor IDs once NeighborIDs
+	// has copied them out of the view; nfilled says it is current.
+	nbuf    []int64
+	nfilled bool
 }
 
 // control-flow sentinels for unwinding agent coroutines.
@@ -67,11 +71,20 @@ func (e *Env) HereID() int64 { return e.view().HereID }
 func (e *Env) Degree() int { return e.view().Degree }
 
 // NeighborIDs returns the IDs of the current vertex's neighbors in
-// local port order, or nil in KT0 mode. The slice is shared with the
-// runtime (zero-copy from the graph) and must be treated as strictly
-// read-only and valid only until the next movement call; copy it to
-// retain it.
-func (e *Env) NeighborIDs() []int64 { return e.view().NeighborIDs }
+// local port order, or nil in KT0 mode. The slice is a per-Env buffer,
+// filled from the view on the first call of each acting round: it is
+// valid only until the agent's next move or stay, after which the next
+// call overwrites it; copy it to retain it.
+func (e *Env) NeighborIDs() []int64 {
+	if !e.kt1 {
+		return nil
+	}
+	if !e.nfilled {
+		e.nbuf = e.view().AppendNeighborIDs(e.nbuf[:0])
+		e.nfilled = true
+	}
+	return e.nbuf
+}
 
 // Whiteboard returns the whiteboard content of the current vertex as of
 // the beginning of the round (NoMark if empty or disabled).
@@ -152,6 +165,7 @@ func (e *Env) step(act Action) {
 		act = act.WithWrite(e.stagedV)
 		e.staged = false
 	}
+	e.nfilled = false
 	if !e.host.yieldFn(act) {
 		panic(stopSignal)
 	}

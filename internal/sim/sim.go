@@ -439,20 +439,10 @@ func (rt *runtime) tick(out *Result) (done bool, err error) {
 func (rt *runtime) step(d *agentState) error {
 	v := &d.view
 	v.Round = rt.round
-	v.HereID = rt.g.ID(d.pos)
-	v.Degree = rt.g.Degree(d.pos)
+	v.locate(rt.g, d.pos, rt.kt1)
 	v.Whiteboard = NoMark
 	if rt.whiteboards {
 		v.Whiteboard = rt.boards[d.pos]
-	}
-	v.NeighborIDs = nil
-	v.g, v.here = nil, graph.NilVertex
-	if rt.kt1 {
-		// Zero-copy: the graph's precomputed per-vertex ID list, with
-		// the graph's ID->port index backing PortOfID. Agents hold
-		// both read-only (documented on View and Env).
-		v.NeighborIDs = rt.g.NeighborIDList(d.pos)
-		v.g, v.here = rt.g, d.pos
 	}
 	act := d.st.Next(v)
 	switch act.op & actKindMask {

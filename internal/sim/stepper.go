@@ -28,9 +28,9 @@ type Stepper interface {
 	// never retain the pointer.
 	Init(ctx *StepContext)
 	// Next returns the agent's action for the current acting round.
-	// The View and its NeighborIDs buffer are shared with the runtime
-	// and valid only until the agent's next acting round; copy what
-	// must be retained.
+	// The View is shared with the runtime and valid only until the
+	// agent's next acting round; copy what must be retained (for
+	// neighbor IDs, with View.AppendNeighborIDs).
 	Next(v *View) Action
 }
 
@@ -42,7 +42,8 @@ type StepContext struct {
 	// NPrime is the ID-space bound n' known to agents (paper §2.1).
 	NPrime int64
 	// NeighborIDs reports KT1-style neighbor-ID access: when false,
-	// View.NeighborIDs is always nil.
+	// the View exposes no neighbor IDs (View.NeighborID panics and
+	// View.AppendNeighborIDs appends nothing).
 	NeighborIDs bool
 	// Whiteboards reports whether the run provides whiteboards; in a
 	// whiteboard-free run staged writes are silently dropped, so
@@ -91,7 +92,12 @@ func (s *AgentScratch) Set(v any) {
 }
 
 // View is the per-round observation handed to an agent: the state of
-// its current vertex at the beginning of the round.
+// its current vertex at the beginning of the round. Under neighbor-ID
+// access (the KT1-style assumption) it also reads the IDs of the
+// vertex's neighbors in local port order, through the graph's naming
+// and without copying: NeighborID reads one port in O(1), and
+// AppendNeighborIDs copies the whole list into a caller's buffer. A
+// round that reads no IDs costs no O(degree) work.
 type View struct {
 	// Round is the current round number.
 	Round int64
@@ -99,36 +105,51 @@ type View struct {
 	HereID int64
 	// Degree is the degree of the current vertex.
 	Degree int
-	// NeighborIDs holds the IDs of the current vertex's neighbors in
-	// local port order, or nil in KT0 mode. The slice is shared with
-	// the graph (zero-copy) and must be treated as strictly read-only;
-	// treat it as valid only for the acting round.
-	NeighborIDs []int64
 	// Whiteboard is the whiteboard content of the current vertex as of
 	// the beginning of the round (NoMark if empty or disabled).
 	Whiteboard int64
 
-	// g/here back PortOfID with the graph's precomputed ID->port
-	// index when the runtime grants neighbor-ID access; a View built
-	// by hand (tests) falls back to scanning NeighborIDs.
+	// nids reads the current vertex's neighbor IDs (empty in KT0
+	// runs); g/here back PortOfID with the graph's precomputed
+	// ID->port index (nil in KT0 runs).
+	nids graph.IDRun
 	g    *graph.Graph
 	here graph.Vertex
 }
 
+// locate points v at vertex here of g: its ID and degree and, under
+// neighbor-ID access (kt1), the zero-copy neighbor-ID run and the
+// ID->port index. The runtime calls it for every acting round.
+func (v *View) locate(g *graph.Graph, here graph.Vertex, kt1 bool) {
+	run := g.NeighborIDRun(here)
+	v.HereID = g.ID(here)
+	v.Degree = run.Len()
+	if kt1 {
+		v.nids, v.g, v.here = run, g, here
+	} else {
+		v.nids, v.g = graph.IDRun{}, nil
+	}
+}
+
+// NeighborID returns the ID of the neighbor behind local port p, in
+// O(1) and without copying. It panics unless the run grants
+// neighbor-ID access (StepContext.NeighborIDs) and 0 ≤ p < Degree.
+func (v *View) NeighborID(p int) int64 { return v.nids.At(p) }
+
+// AppendNeighborIDs appends the IDs of the current vertex's neighbors,
+// in local port order, to dst and returns the extended slice. Without
+// neighbor-ID access it returns dst unchanged.
+func (v *View) AppendNeighborIDs(dst []int64) []int64 { return v.nids.AppendTo(dst) }
+
 // PortOfID returns the local port leading to the neighbor with the
 // given ID, or ok=false if no such neighbor is visible (including all
-// KT0 runs, where NeighborIDs is nil).
+// KT0 runs).
 func (v *View) PortOfID(id int64) (port int, ok bool) {
-	if v.g != nil {
-		if p := v.g.PortOfID(v.here, id); p >= 0 {
-			return p, true
-		}
+	if v.g == nil {
 		return -1, false
 	}
-	for p, nid := range v.NeighborIDs {
-		if nid == id {
-			return p, true
-		}
+	if p := v.g.PortOfID(v.here, id); p >= 0 {
+		return p, true
 	}
 	return -1, false
 }

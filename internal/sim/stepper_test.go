@@ -3,9 +3,12 @@ package sim
 import (
 	"errors"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"fnr/internal/graph"
 )
 
 // walkStepper is the stepper twin of the randomWalk test program.
@@ -379,15 +382,41 @@ func (zeroStayStepper) Init(*StepContext) {}
 
 func (zeroStayStepper) Next(*View) Action { return StayFor(-3) }
 
+// TestViewPortOfID reads a hand-located view of a star whose leaves
+// carry IDs 10, 20, 30 behind ports 0, 1, 2: the per-port read, the
+// bulk append and PortOfID agree under neighbor-ID access, and a KT0
+// view exposes none of them.
 func TestViewPortOfID(t *testing.T) {
-	v := &View{NeighborIDs: []int64{10, 20, 30}}
+	b := graph.NewBuilder(4)
+	for leaf := graph.Vertex(1); leaf <= 3; leaf++ {
+		b.MustAddEdge(0, leaf)
+		b.SetID(leaf, 10*int64(leaf))
+	}
+	b.SetID(0, 5)
+	b.SetNPrime(40)
+	g := b.MustBuild()
+	v := &View{}
+	v.locate(g, 0, true)
+	if got := v.AppendNeighborIDs(nil); !slices.Equal(got, []int64{10, 20, 30}) {
+		t.Fatalf("AppendNeighborIDs = %v", got)
+	}
+	if v.NeighborID(2) != 30 || v.HereID != 5 || v.Degree != 3 {
+		t.Fatalf("NeighborID(2) = %d, HereID = %d, Degree = %d", v.NeighborID(2), v.HereID, v.Degree)
+	}
 	if p, ok := v.PortOfID(20); !ok || p != 1 {
 		t.Fatalf("PortOfID(20) = %d, %v", p, ok)
 	}
 	if _, ok := v.PortOfID(99); ok {
 		t.Fatal("missing ID reported present")
 	}
-	if _, ok := (&View{}).PortOfID(1); ok {
+	v.locate(g, 0, false)
+	if _, ok := v.PortOfID(10); ok {
 		t.Fatal("KT0 view reported a port")
+	}
+	if got := v.AppendNeighborIDs(nil); got != nil {
+		t.Fatalf("KT0 view appended %v", got)
+	}
+	if _, ok := (&View{}).PortOfID(1); ok {
+		t.Fatal("zero view reported a port")
 	}
 }
