@@ -83,35 +83,23 @@ func (s *adjSet) reset() {
 	clear(s.bits)
 }
 
-// sortedRun writes the set's members (as many as len(run)) into run in
-// ascending order, and the port-order row adj's sorted→port
-// permutation into ports: ports[i] = p where adj[p] = run[i]. A
-// bitset-form set sorts nothing: it scans its set bits and ranks each
+// sortedPorts writes the port-order row adj's ports in ascending
+// neighbor order into ports: ports[i] = p where adj[p] is the set's
+// i-th smallest member. A bitset-form set sorts nothing: it ranks each
 // neighbor by the popcount below it plus a per-word prefix count. A
 // list-form set sorts its row once as packed (neighbor, port) keys —
 // measured faster than merging the tail and binary-searching each
 // neighbor's rank at list-form degrees in the hundreds. Both use the
 // caller's scratch, returned for reuse.
-func (s *adjSet) sortedRun(adj, run []Vertex, ports []int32, scratch []uint64) []uint64 {
+func (s *adjSet) sortedPorts(adj []Vertex, ports []int32, scratch []uint64) []uint64 {
 	if s.bits == nil {
-		keys := slices.Grow(scratch[:0], len(adj))[:len(adj)]
-		for p, w := range adj {
-			keys[p] = uint64(w)<<32 | uint64(p)
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			run[i], ports[i] = Vertex(k>>32), int32(uint32(k))
-		}
-		return keys
+		return ascendingPorts(adj, ports, scratch)
 	}
-	before := slices.Grow(scratch[:0], len(s.bits))[:len(s.bits)]
+	before := growKeys(scratch, len(s.bits))
 	k := 0
 	for i, word := range s.bits {
 		before[i] = uint64(k)
-		for ; word != 0; word &= word - 1 {
-			run[k] = Vertex(i<<6 | bits.TrailingZeros64(word))
-			k++
-		}
+		k += bits.OnesCount64(word)
 	}
 	for p, w := range adj {
 		i := uint32(w) >> 6
@@ -365,10 +353,10 @@ func (b *Builder) ShufflePorts(rng *rand.Rand) {
 // Build finalizes the graph. The builder remains usable (the structure
 // is copied out into the graph's flat CSR arrays). Edge invariants
 // hold by construction (AddEdge enforces them), so Build only has to
-// check the ID assignment. Each vertex's membership set yields its
-// ascending neighbor run and the sorted→port permutation (see
-// adjSet.sortedRun; no sort at all for a bitset vertex), which go to
-// the same derivation the binary reader uses.
+// check the ID assignment. Under identity naming each vertex's
+// membership set yields the ID->port index directly (see
+// adjSet.sortedPorts; no sort at all for a bitset vertex); other
+// namings co-sort by ID in the shared derivation.
 func (b *Builder) Build() (*Graph, error) {
 	if err := validateIDs(b.ids, b.nPrime); err != nil {
 		return nil, err
@@ -377,16 +365,18 @@ func (b *Builder) Build() (*Graph, error) {
 	if err := g.setRows(b.adj); err != nil {
 		return nil, err
 	}
-	g.sorted = make([]Vertex, len(g.nbrs))
-	ports := make([]int32, len(g.nbrs))
-	parallelBlocks(len(b.ids), func(lo, hi Vertex) {
-		var scratch []uint64
-		for v := lo; v < hi; v++ {
-			o, e := g.offsets[v], g.offsets[v+1]
-			scratch = b.seen[v].sortedRun(b.adj[v], g.sorted[o:e], ports[o:e], scratch)
-		}
-	})
-	g.buildDerivedPresorted(ports)
+	var ports []int32
+	if identityNaming(g.ids) {
+		ports = make([]int32, len(g.nbrs))
+		parallelBlocks(len(b.ids), func(lo, hi Vertex) {
+			var scratch []uint64
+			for v := lo; v < hi; v++ {
+				o, e := g.offsets[v], g.offsets[v+1]
+				scratch = b.seen[v].sortedPorts(b.adj[v], ports[o:e], scratch)
+			}
+		})
+	}
+	g.buildDerived(ports)
 	return g, nil
 }
 

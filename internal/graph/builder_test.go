@@ -129,10 +129,6 @@ func sameDerived(g, h *Graph) string {
 	switch {
 	case !g.Equal(h):
 		return "ids, offsets or port-order rows"
-	case !slices.Equal(g.sorted, h.sorted):
-		return "sorted"
-	case !slices.Equal(g.idSorted, h.idSorted):
-		return "idSorted"
 	case !slices.Equal(g.idPort, h.idPort):
 		return "idPort"
 	case !slices.Equal(g.idToV, h.idToV) || (g.idToV == nil) != (h.idToV == nil):

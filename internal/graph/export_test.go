@@ -4,3 +4,7 @@ package graph
 // which drive the simulator (importing it from package graph itself
 // would be a cycle).
 var AllFamilies = allFamilies
+
+// Namings exposes namings (identity, permuted and sparse relabelings)
+// to the same tests.
+var Namings = namings

@@ -22,29 +22,26 @@
 // # Memory layout
 //
 // A Graph stores its adjacency structure in compressed sparse row
-// (CSR) form: a single offsets array of n+1 cursors into flat backing
-// arrays holding all 2m arcs contiguously. Parallel per-arc arrays
-// share the one offsets table — the port-ordered neighbor indices
-// (Adj), the per-vertex ascending neighbor indices (HasEdge), and the
-// per-vertex ID-sorted (ID, port) index (PortOfID), whose IDs are kept
-// only when they differ from the indices. Every per-arc array is 4
-// bytes wide under identity naming (ID = index, every generator's
-// default), so an arc costs 12 bytes; another naming adds the 8-byte
-// sorted IDs. Neighbor IDs in port order are not stored a second time:
-// NeighborIDRun resolves the zero-copy Adj run through the naming
-// (the index itself, or the per-vertex ID table), so per-round
-// accesses walk cache lines instead of chasing per-vertex slice
-// headers, and a 65k-vertex δ=√n graph is a handful of flat arrays
-// rather than hundreds of thousands of small allocations.
+// (CSR) form: a single offsets array of n+1 cursors into two flat
+// per-arc arrays holding all 2m arcs contiguously — the port-ordered
+// neighbor indices (Adj) and, per vertex, the ports of its neighbors
+// in ascending ID order (PortOfID and HasEdge binary-search the
+// neighbors behind those ports). Both are 4 bytes wide under every
+// naming, so an arc costs 8 bytes. Neighbor IDs are never stored per
+// arc: NeighborID resolves an Adj entry through the naming (the index
+// itself, or the per-vertex ID table), so per-round accesses walk
+// cache lines instead of chasing per-vertex slice headers, and a
+// 65k-vertex δ=√n graph is a handful of flat arrays rather than
+// hundreds of thousands of small allocations.
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
@@ -77,20 +74,15 @@ type Graph struct {
 	// (n ≤ maxReasonableN), so the per-arc arrays keep their width.
 	offsets []int64
 	nbrs    []Vertex // port order: nbrs[offsets[v]+p] = neighbor of v behind port p
-	sorted  []Vertex // per-vertex ascending, for HasEdge binary search
-	// Per-vertex ID->port index: idSorted holds v's neighbor IDs
-	// ascending, idPort the matching ports, so PortOfID is a binary
-	// search instead of an O(deg) scan. Under identity naming the ID
-	// order is the index order, so idSorted would repeat sorted
-	// widened to int64: it stays nil and PortOfID searches sorted.
-	idSorted []int64
-	idPort   []int32
-	identity bool    // ids[v] = v for every vertex
-	names    []int64 // ids, or nil under identity naming: what IDRun resolves through
-	nPrime   int64   // ID-space bound n' (all IDs are in [0, n'))
-	minDeg   int
-	maxDeg   int
-	edges    int
+	// Per-vertex ID->port index: idPort[offsets[v]+i] is the port of
+	// v's neighbor with the i-th smallest ID, so PortOfID is a binary
+	// search over nbrs read through idPort instead of an O(deg) scan.
+	idPort []int32
+	names  []int64 // ids, or nil under identity naming (ids[v] = v): what neighbor IDs resolve through
+	nPrime int64   // ID-space bound n' (all IDs are in [0, n'))
+	minDeg int
+	maxDeg int
+	edges  int
 	// stamp is a process-unique identity assigned at construction.
 	// Graphs are immutable, so two equal stamps guarantee identical
 	// structure — the key algorithm scratch uses to carry
@@ -113,8 +105,8 @@ func (g *Graph) Stamp() uint64 { return g.stamp }
 func (g *Graph) N() int { return len(g.ids) }
 
 // FootprintBytes reports the retained size of the graph's backing
-// arrays: the CSR offsets and the parallel per-arc arrays (12 bytes
-// per arc under identity naming, 20 otherwise), the ID table, and
+// arrays: the CSR offsets and the two per-arc arrays (8 bytes per arc
+// under every naming), the ID table, and
 // whichever ID→vertex index form this graph carries (dense inverse or
 // sorted pairs). It is the eviction weight for graph caches and the
 // baseline benchmark memory witnesses subtract.
@@ -123,8 +115,7 @@ func (g *Graph) FootprintBytes() int64 {
 		4*int64(len(g.idToV)) +
 		8*int64(len(g.idKeys)) + 4*int64(len(g.idVerts)) +
 		8*int64(len(g.offsets)) +
-		4*int64(len(g.nbrs)) + 4*int64(len(g.sorted)) +
-		8*int64(len(g.idSorted)) + 4*int64(len(g.idPort))
+		4*int64(len(g.nbrs)) + 4*int64(len(g.idPort))
 }
 
 // M returns the number of undirected edges.
@@ -175,30 +166,22 @@ func (g *Graph) Adj(v Vertex) []Vertex {
 	return g.nbrs[g.offsets[v]:g.offsets[v+1]:g.offsets[v+1]]
 }
 
-// sortedAdj returns v's neighbors in ascending vertex order (shared,
-// read-only).
-func (g *Graph) sortedAdj(v Vertex) []Vertex {
-	return g.sorted[g.offsets[v]:g.offsets[v+1]]
-}
-
 // Neighbors returns a copy of the adjacency list of v in port order.
 func (g *Graph) Neighbors(v Vertex) []Vertex {
 	return slices.Clone(g.Adj(v))
 }
 
-// HasEdge reports whether u and v are adjacent. It binary-searches the
-// smaller endpoint's sorted neighbor run: O(log min(deg(u), deg(v))),
-// allocation-free.
+// HasEdge reports whether u and v are adjacent: a PortOfID lookup of
+// one endpoint's ID at the smaller-degree other endpoint, so
+// O(log min(deg(u), deg(v))), allocation-free.
 func (g *Graph) HasEdge(u, v Vertex) bool {
 	if u == v {
 		return false
 	}
-	a := g.sortedAdj(u)
-	if g.Degree(v) < len(a) {
-		a, v = g.sortedAdj(v), u
+	if g.Degree(v) < g.Degree(u) {
+		u, v = v, u
 	}
-	_, ok := slices.BinarySearch(a, v)
-	return ok
+	return g.PortOfID(u, g.nameOf(v)) >= 0
 }
 
 // PortTo returns the local port of u leading to v, or -1 if u and v are
@@ -212,78 +195,54 @@ func (g *Graph) PortTo(u, v Vertex) int {
 	return -1
 }
 
+// nameOf returns the ID of vertex w: w itself under identity naming.
+func (g *Graph) nameOf(w Vertex) int64 {
+	if g.names == nil {
+		return int64(w)
+	}
+	return g.names[w]
+}
+
+// NeighborID returns the ID of v's neighbor behind local port p in
+// O(1), resolving the Adj entry through the naming instead of a
+// stored copy. It is the per-round fast path for the simulator's
+// views.
+func (g *Graph) NeighborID(v Vertex, p int) int64 { return g.nameOf(g.Neighbor(v, p)) }
+
 // IDsOfNeighbors appends the identifiers of v's neighbors, in port
 // order, to dst and returns the extended slice.
 func (g *Graph) IDsOfNeighbors(v Vertex, dst []int64) []int64 {
-	return g.NeighborIDRun(v).AppendTo(dst)
-}
-
-// NeighborIDRun returns read access to the identifiers of v's
-// neighbors in port order, without copying: the run holds v's shared
-// Adj run and resolves each entry through the graph's naming when
-// read. It is the per-round fast path for the simulator's views.
-func (g *Graph) NeighborIDRun(v Vertex) IDRun {
-	return IDRun{nbrs: g.Adj(v), names: g.names}
-}
-
-// IDRun is one vertex's neighbor IDs in port order, read through the
-// naming instead of stored: entry p is the ID of the neighbor behind
-// port p. The zero IDRun is empty. It shares the graph's immutable
-// arrays, so it stays valid as long as the graph and is safe for
-// concurrent reads.
-type IDRun struct {
-	nbrs  []Vertex // the vertex's port-ordered neighbors (shared)
-	names []int64  // index -> ID; nil under identity naming
-}
-
-// Len returns the number of entries: the vertex's degree, or 0 for
-// the zero IDRun.
-func (r IDRun) Len() int { return len(r.nbrs) }
-
-// At returns the ID of the neighbor behind port p in O(1), without
-// copying. It panics if p is outside [0, Len()).
-func (r IDRun) At(p int) int64 {
-	if r.names == nil {
-		return int64(r.nbrs[p])
-	}
-	return r.names[r.nbrs[p]]
-}
-
-// AppendTo appends every entry, in port order, to dst and returns the
-// extended slice.
-func (r IDRun) AppendTo(dst []int64) []int64 {
-	dst = slices.Grow(dst, len(r.nbrs))
-	if r.names == nil {
-		for _, u := range r.nbrs {
-			dst = append(dst, int64(u))
-		}
-		return dst
-	}
-	for _, u := range r.nbrs {
-		dst = append(dst, r.names[u])
+	row := g.Adj(v)
+	dst = slices.Grow(dst, len(row))
+	for _, w := range row {
+		dst = append(dst, g.nameOf(w))
 	}
 	return dst
 }
 
 // PortOfID returns the local port of v leading to the neighbor with
-// the given ID, or -1 if v has no such neighbor. It runs in
-// O(log deg(v)).
+// the given ID, or -1 if v has no such neighbor. It binary-searches
+// v's neighbors in ID order — the Adj entries behind v's idPort run —
+// in O(log deg(v)).
 func (g *Graph) PortOfID(v Vertex, id int64) int {
-	o, e := g.offsets[v], g.offsets[v+1]
-	var i int
-	var ok bool
-	if g.identity {
-		if id < 0 || id >= int64(len(g.ids)) {
-			return -1
-		}
-		i, ok = slices.BinarySearch(g.sorted[o:e], Vertex(id))
-	} else {
-		i, ok = slices.BinarySearch(g.idSorted[o:e], id)
-	}
-	if !ok {
+	if id < 0 || id >= g.nPrime {
 		return -1
 	}
-	return int(g.idPort[int(o)+i])
+	o, e := g.offsets[v], g.offsets[v+1]
+	row, run := g.nbrs[o:e], g.idPort[o:e]
+	i, j := 0, len(run)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if g.nameOf(row[run[h]]) < id {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i < len(run) && g.nameOf(row[run[i]]) == id {
+		return int(run[i])
+	}
+	return -1
 }
 
 // Validate checks the structural invariants of the graph: symmetric
@@ -317,39 +276,52 @@ func (g *Graph) Validate() error {
 }
 
 // symmetrySweep proves the graph symmetric with one linear cursor
-// co-sweep. Every graph construction guarantees structurally that each
-// sorted run holds the same multiset as its Adj row (buildDerived
-// sorts the row's copy; the binary reader scatters the run through a
-// checked port permutation; Builder.Build sorts the row's copy or
-// reads the run off the bitset it kept beside the row), so sweeping
-// sources in ascending order must land every arc (v, w) exactly on the cursor of w's sorted run.
-// A completed sweep maps each arc to a distinct matching run entry —
-// an injection of the arc multiset into its own reversal, hence a
-// bijection: the graph is symmetric. Every arc advances exactly one
-// cursor inside its run's bounds and the totals agree, so all cursors
-// end exactly at their degrees — no final pass needed.
+// co-sweep. Each vertex's idPort run is a permutation of its ports by
+// construction (buildDerived sorts the row's ports; the binary reader
+// checks them for range and duplicates as it scatters a row), so the
+// neighbors read through it are exactly the Adj row's multiset, in
+// ascending ID order — which the sweep checks strictly, ruling out
+// parallel edges. Sweeping sources in ascending ID order (validated
+// distinct before the sweep) must then land every arc (v, w) exactly
+// on the cursor of w's ID-ordered run. A completed sweep maps each arc
+// to a distinct matching run entry — an injection of the arc multiset
+// into its own reversal, hence a bijection: the graph is symmetric.
+// Every arc advances exactly one cursor inside its run's bounds and
+// the totals agree, so all cursors end exactly at their degrees — no
+// final pass needed.
 func symmetrySweep[C int32 | int64](g *Graph) error {
 	n := g.N()
 	cur := make([]C, n)
 	for v := range cur {
 		cur[v] = C(g.offsets[v])
 	}
-	for v := Vertex(0); int(v) < n; v++ {
-		s := g.sortedAdj(v)
-		for i, w := range s {
-			if w == v {
+	// Sources in ascending ID order: the dense inverse lists them by
+	// ID, the sorted pair index by key.
+	order := g.idVerts
+	if g.idToV != nil {
+		order = g.idToV
+	}
+	for _, v := range order {
+		if v < 0 {
+			continue
+		}
+		o, e := g.offsets[v], g.offsets[v+1]
+		prev := int64(-1)
+		for _, p := range g.idPort[o:e] {
+			w := g.nbrs[o+int64(p)]
+			if w == Vertex(v) {
 				return fmt.Errorf("graph: self-loop at vertex %d", v)
 			}
 			if int(w) < 0 || int(w) >= n {
 				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, w)
 			}
-			if i > 0 && w == s[i-1] {
+			id := g.nameOf(w)
+			if id <= prev {
 				return fmt.Errorf("graph: parallel edge %d-%d", v, w)
 			}
-		}
-		for _, w := range g.Adj(v) {
+			prev = id
 			c := int64(cur[w])
-			if c >= g.offsets[w+1] || g.sorted[c] != v {
+			if c >= g.offsets[w+1] || g.nbrs[g.offsets[w]+int64(g.idPort[c])] != Vertex(v) {
 				return fmt.Errorf("graph: edge %d-%d is not symmetric", v, w)
 			}
 			cur[w] = C(c + 1)
@@ -436,98 +408,55 @@ func (g *Graph) setRows(rows [][]Vertex) error {
 	return nil
 }
 
-// idPortSorter sorts a vertex's (neighbor ID, port) pairs by ID.
-type idPortSorter struct {
-	ids   []int64
-	ports []int32
-}
-
-func (s idPortSorter) Len() int           { return len(s.ids) }
-func (s idPortSorter) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s idPortSorter) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.ports[i], s.ports[j] = s.ports[j], s.ports[i]
-}
-
 // buildDerived computes every derived field of a graph whose ids,
-// offsets, nbrs and nPrime fields are populated: the naming, the ID
-// index, degree extremes and edge count, and the remaining flat
-// per-arc arrays (sorted adjacency and the ID->port index). Per-vertex
-// assembly — the sorts in particular — fans out over vertex blocks,
-// and the (ID, port) co-sort runs as a single flat uint64 sort per
-// vertex whenever the ID and port widths pack into one word (they do
-// for every graph the parsers accept), so deserializing or building a
-// 33M-arc graph spends fractions of a core-second here instead of
-// several. None of this touches an RNG: generator draw sequences are
-// byte-identical at any GOMAXPROCS.
-func (g *Graph) buildDerived() {
-	n := len(g.ids)
-	arcs := len(g.nbrs)
-	g.initIndexes()
-
-	// Tight identity naming (ids[v] = v, every generator's default)
-	// means ID order equals index order, so ONE packed sort per vertex
-	// on (neighbor index, port) keys yields sorted and idPort together
-	// — measurably faster than an int32 sort plus a second co-sort,
-	// and far faster than the seed's interface-based sort.Sort. Under
-	// other labelings sorted gets its own int32 sort and the (ID, port)
-	// pairs co-sort as in coSortIDPort. Invalid inputs (IDs or
-	// neighbors out of range) may pack garbage keys; buildDerived only
-	// has to be deterministic on them, not meaningful, because
-	// Validate rejects such graphs before anyone queries the index.
-	g.sorted = make([]Vertex, arcs)
-	g.idPort = make([]int32, arcs)
-	kp := g.idPortKeys(g.identity)
-
-	parallelBlocks(n, func(lo, hi Vertex) {
-		var keys []uint64 // this block's key scratch, one vertex at a time
-		for v := lo; v < hi; v++ {
-			o, e := g.offsets[v], g.offsets[v+1]
-			if g.identity {
-				// Keys are (index << portBits) | port: the index fits
-				// 32 bits (Vertex is int32) and portBits ≤ 31, so the
-				// key always fits. uint32 round-trips negative
-				// (invalid) indices exactly; they merely sort high.
-				keys = growKeys(keys, int(e-o))
-				for p, w := range g.nbrs[o:e] {
-					keys[p] = uint64(uint32(w))<<kp.portBits | uint64(p)
-				}
-				slices.Sort(keys)
-				for i, k := range keys {
-					g.sorted[int(o)+i] = Vertex(int32(uint32(k >> kp.portBits)))
-					g.idPort[int(o)+i] = int32(k & kp.portMask)
-				}
-				continue
-			}
-			// Sorted adjacency: copy this vertex's run and sort it.
-			sortRun := g.sorted[o:e]
-			copy(sortRun, g.nbrs[o:e])
-			slices.Sort(sortRun)
-			keys = g.coSortIDPort(o, e, kp, keys)
-		}
-	})
-}
-
-// initIndexes starts either derivation: a fresh stamp, the naming
-// (recorded once here, read by the derivations, PortOfID and the
-// binary writers), the ID index and the degree statistics. A graph
-// that does not use identity naming gets its idSorted array here.
-func (g *Graph) initIndexes() {
+// offsets, nbrs and nPrime fields are populated: a fresh stamp, the
+// naming (recorded once here, read by the ID lookups and the binary
+// writers), the ID index, degree extremes and edge count, and the
+// ID->port index. ports, when non-nil, is the rows' ports in ascending
+// neighbor-index order, already known to the binary reader and to a
+// Builder's membership sets; buildDerived takes ownership of it. Under
+// identity naming index order is ID order, so ports IS the ID->port
+// index and nothing is sorted; otherwise each row's ports co-sort by
+// neighbor ID (overwriting ports in place, which the co-sort never
+// reads). The
+// per-vertex sorts fan out over vertex blocks and run as flat uint64
+// key sorts whenever the ID and port widths pack into one word (they
+// do for every graph the parsers accept), so deserializing or building
+// a 33M-arc graph spends fractions of a core-second here. None of this
+// touches an RNG: generator draw sequences are byte-identical at any
+// GOMAXPROCS.
+func (g *Graph) buildDerived(ports []int32) {
 	g.stamp = nextStamp.Add(1)
-	g.identity = true
-	for v, id := range g.ids {
-		if id != int64(v) {
-			g.identity = false
-			break
-		}
-	}
-	g.idSorted, g.names = nil, nil
-	if !g.identity {
-		g.idSorted = make([]int64, len(g.nbrs))
+	g.names = nil
+	if !identityNaming(g.ids) {
 		g.names = g.ids
 	}
 	g.buildIDIndex()
 	g.computeDegreeStats()
+	g.idPort = ports
+	if ports != nil && g.names == nil {
+		return
+	}
+	if ports == nil {
+		g.idPort = make([]int32, len(g.nbrs))
+	}
+	kp := g.idPortKeys()
+	parallelBlocks(len(g.ids), func(lo, hi Vertex) {
+		var keys []uint64 // this block's key scratch, one vertex at a time
+		for v := lo; v < hi; v++ {
+			keys = g.coSortIDPort(g.offsets[v], g.offsets[v+1], kp, keys)
+		}
+	})
+}
+
+// identityNaming reports whether ids[v] = v for every vertex.
+func identityNaming(ids []int64) bool {
+	for v, id := range ids {
+		if id != int64(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // computeDegreeStats fills the degree extremes and edge count from the
@@ -548,7 +477,7 @@ func (g *Graph) computeDegreeStats() {
 
 // keyPacking is the layout of the (ID, port) co-sort keys: with
 // packed set, a key is ID<<portBits | port in one uint64; otherwise
-// the co-sort falls back to the interface sort.
+// the co-sort falls back to a comparison sort of the ports.
 type keyPacking struct {
 	packed   bool
 	portBits int
@@ -556,15 +485,14 @@ type keyPacking struct {
 }
 
 // idPortKeys decides the packed-key layout for the (ID, port)
-// co-sorts: packed when the ID and port widths fit one uint64 key
-// (always, under identity naming — the key packs the 32-bit index
-// instead of the ID). Must run after computeDegreeStats (portBits
-// derives from the maximum degree).
-func (g *Graph) idPortKeys(identity bool) keyPacking {
+// co-sorts: packed when the ID and port widths fit one uint64 key.
+// Must run after computeDegreeStats (portBits derives from the maximum
+// degree).
+func (g *Graph) idPortKeys() keyPacking {
 	portBits := bits.Len(uint(max(g.maxDeg-1, 0)))
 	idBits := bits.Len64(uint64(max(g.nPrime-1, 0)))
 	return keyPacking{
-		packed:   identity || idBits+portBits <= 63,
+		packed:   idBits+portBits <= 63,
 		portBits: portBits,
 		portMask: uint64(1)<<portBits - 1,
 	}
@@ -580,6 +508,23 @@ func growKeys(ks []uint64, n int) []uint64 {
 	return ks[:n]
 }
 
+// ascendingPorts writes row's ports in ascending neighbor-index order
+// into ports — ports[i] is the port behind row's i-th smallest entry —
+// by one sort of packed (index, port) keys in the scratch keys, which
+// it returns for reuse. uint32 round-trips negative (invalid) indices
+// exactly; they merely sort high.
+func ascendingPorts(row []Vertex, ports []int32, keys []uint64) []uint64 {
+	keys = growKeys(keys, len(row))
+	for p, w := range row {
+		keys[p] = uint64(uint32(w))<<32 | uint64(p)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		ports[i] = int32(uint32(k))
+	}
+	return keys
+}
+
 // idOf returns the ID of vertex w, or NoID when w is out of range
 // (left for Validate to report).
 func (g *Graph) idOf(w Vertex) int64 {
@@ -589,31 +534,34 @@ func (g *Graph) idOf(w Vertex) int64 {
 	return NoID
 }
 
-// coSortIDPort builds the ID->port index run [o, e) of a graph that
-// does not use identity naming, by co-sorting the run's neighbor IDs
-// (read through the naming) with their ports: as packed uint64 keys in
-// the scratch keys when kp.packed, through the interface sort
-// otherwise. It returns the (possibly grown) scratch.
+// coSortIDPort builds the ID->port index run [o, e): the ascending
+// ports under identity naming, otherwise a co-sort of the row's
+// neighbor IDs with their ports — as packed uint64 keys in the scratch
+// keys when kp.packed, by a comparison sort of the ports otherwise.
+// Invalid rows (neighbors out of range) may sort garbage keys; the
+// result only has to be a deterministic permutation of the ports,
+// because Validate rejects such graphs before anyone queries the
+// index. It returns the (possibly grown) scratch.
 func (g *Graph) coSortIDPort(o, e int64, kp keyPacking, keys []uint64) []uint64 {
-	nbrs := g.nbrs[o:e]
-	if kp.packed {
-		keys = growKeys(keys, len(nbrs))
-		for p, w := range nbrs {
-			keys[p] = uint64(g.idOf(w))<<kp.portBits | uint64(p)
+	row, run := g.nbrs[o:e], g.idPort[o:e]
+	switch {
+	case g.names == nil:
+		return ascendingPorts(row, run, keys)
+	case !kp.packed:
+		for p := range run {
+			run[p] = int32(p)
 		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			g.idSorted[int(o)+i] = int64(k >> kp.portBits)
-			g.idPort[int(o)+i] = int32(k & kp.portMask)
-		}
+		slices.SortFunc(run, func(a, b int32) int { return cmp.Compare(g.idOf(row[a]), g.idOf(row[b])) })
 		return keys
 	}
-	ids, run := g.idSorted[o:e], g.idPort[o:e]
-	for p, w := range nbrs {
-		ids[p] = g.idOf(w)
-		run[p] = int32(p)
+	keys = growKeys(keys, len(row))
+	for p, w := range row {
+		keys[p] = uint64(g.idOf(w))<<kp.portBits | uint64(p)
 	}
-	sort.Sort(idPortSorter{ids: ids, ports: run})
+	slices.Sort(keys)
+	for i, k := range keys {
+		run[i] = int32(k & kp.portMask)
+	}
 	return keys
 }
 
@@ -637,13 +585,15 @@ func (g *Graph) buildIDIndex() {
 		}
 		return
 	}
-	g.idKeys = make([]int64, n)
 	g.idVerts = make([]int32, n)
-	copy(g.idKeys, g.ids)
 	for v := range g.idVerts {
 		g.idVerts[v] = int32(v)
 	}
-	sort.Sort(idPortSorter{ids: g.idKeys, ports: g.idVerts})
+	slices.SortFunc(g.idVerts, func(a, b int32) int { return cmp.Compare(g.ids[a], g.ids[b]) })
+	g.idKeys = make([]int64, n)
+	for i, v := range g.idVerts {
+		g.idKeys[i] = g.ids[v]
+	}
 }
 
 // FromAdjacency constructs a graph directly from an ID table and an
@@ -659,7 +609,7 @@ func FromAdjacency(ids []int64, adj [][]Vertex, nPrime int64) (*Graph, error) {
 	if err := g.setRows(adj); err != nil {
 		return nil, err
 	}
-	g.buildDerived()
+	g.buildDerived(nil)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -667,77 +617,20 @@ func FromAdjacency(ids []int64, adj [][]Vertex, nPrime int64) (*Graph, error) {
 }
 
 // fromCSR constructs and validates a graph from already-flat CSR
-// arrays, taking ownership of the slices — the text deserializer's
-// path, which skips the per-row copies of FromAdjacency. offsets must
-// have len(ids)+1 monotone entries with offsets[len(ids)] ==
-// len(nbrs).
-func fromCSR(ids []int64, offsets []int64, nbrs []Vertex, nPrime int64) (*Graph, error) {
+// arrays, taking ownership of every slice — the deserializers' path,
+// which skips the per-row copies of FromAdjacency. offsets must have
+// len(ids)+1 monotone entries with offsets[len(ids)] == len(nbrs).
+// ports is nil (the text reader) or, per row, the ports in ascending
+// neighbor-index order as a checked permutation of the row's ports
+// (the binary readers, which decode exactly that); see buildDerived.
+// Validate's sweep re-checks the order it implies.
+func fromCSR(ids []int64, offsets []int64, nbrs []Vertex, ports []int32, nPrime int64) (*Graph, error) {
 	g := &Graph{ids: ids, offsets: offsets, nbrs: nbrs, nPrime: nPrime}
-	g.buildDerived()
+	g.buildDerived(ports)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
-}
-
-// fromCSRSorted constructs and validates a graph from the binary
-// reader's arrays: per-vertex ascending neighbor runs plus the
-// sorted-position -> port permutation (ports[i] is the local port
-// behind which run entry i sits). The port-order adjacency is rebuilt
-// by scattering each run through its ports — rejecting out-of-range
-// and duplicate ports, so the rebuilt rows provably hold exactly the
-// runs' multisets — and nothing needs sorting. Takes ownership of all
-// slices (ports becomes the idPort index under identity naming). The
-// caller must have checked that every run is strictly ascending with
-// entries in [0, len(ids)).
-func fromCSRSorted(ids []int64, offsets []int64, sorted []Vertex, ports []int32, nPrime int64) (*Graph, error) {
-	n := len(ids)
-	nbrs := make([]Vertex, len(sorted))
-	for i := range nbrs {
-		nbrs[i] = NilVertex
-	}
-	for v := 0; v < n; v++ {
-		o, e := offsets[v], offsets[v+1]
-		deg := e - o
-		for i := o; i < e; i++ {
-			p := int64(ports[i])
-			if p < 0 || p >= deg {
-				return nil, fmt.Errorf("graph: vertex %d has port %d outside [0,%d)", v, p, deg)
-			}
-			if nbrs[o+p] != NilVertex {
-				return nil, fmt.Errorf("graph: vertex %d lists port %d twice", v, p)
-			}
-			nbrs[o+p] = sorted[i]
-		}
-	}
-	g := &Graph{ids: ids, offsets: offsets, nbrs: nbrs, sorted: sorted, nPrime: nPrime}
-	g.buildDerivedPresorted(ports)
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// buildDerivedPresorted is the counterpart of buildDerived for graphs
-// whose sorted adjacency (already in g) and sorted->port permutation
-// are known up front — the binary reader's payload, or a Builder's
-// membership sets: under identity naming nothing needs sorting at all
-// — ports IS the ID->port index — and under other labelings only the
-// ID co-sort remains, which overwrites ports in place (the co-sort
-// never reads it).
-func (g *Graph) buildDerivedPresorted(ports []int32) {
-	g.initIndexes()
-	g.idPort = ports
-	if g.identity {
-		return
-	}
-	kp := g.idPortKeys(false)
-	parallelBlocks(len(g.ids), func(lo, hi Vertex) {
-		var keys []uint64
-		for v := lo; v < hi; v++ {
-			keys = g.coSortIDPort(g.offsets[v], g.offsets[v+1], kp, keys)
-		}
-	})
 }
 
 // Clone returns a deep copy of g.
@@ -748,7 +641,7 @@ func (g *Graph) Clone() *Graph {
 		nbrs:    slices.Clone(g.nbrs),
 		nPrime:  g.nPrime,
 	}
-	ng.buildDerived()
+	ng.buildDerived(nil)
 	return ng
 }
 

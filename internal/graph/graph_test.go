@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -269,6 +270,31 @@ func TestValidateCatchesCorruption(t *testing.T) {
 				t.Fatalf("accepted %s", tc.name)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsUnderEveryNaming feeds the ID-order symmetry
+// sweep each structural defect it must catch, under identity naming
+// and under a permuted one (which changes the order it sweeps sources
+// and reads runs in), and requires the error to name the defect.
+func TestValidateRejectsUnderEveryNaming(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		adj        [][]Vertex
+	}{
+		{"asymmetric arc", "not symmetric", [][]Vertex{{1}, {2}, {}}},
+		{"parallel edge", "parallel edge", [][]Vertex{{1, 1}, {0, 0}, {}}},
+		{"self-loop", "self-loop", [][]Vertex{{0, 1}, {0, 1}, {}}},
+		{"out-of-range neighbor", "out-of-range neighbor", [][]Vertex{{5, 6}, {}, {}}},
+	} {
+		for naming, ids := range map[string][]int64{"identity": {0, 1, 2}, "permuted": {2, 0, 1}} {
+			t.Run(tc.name+"/"+naming, func(t *testing.T) {
+				_, err := FromAdjacency(ids, tc.adj, 3)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("got %v, want an error containing %q", err, tc.want)
+				}
+			})
+		}
 	}
 }
 

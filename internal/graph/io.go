@@ -34,9 +34,9 @@ import (
 // CSR arrays, roughly half the text size and an order of magnitude
 // faster to parse at n=65536 (see README.md, "Graph serialization").
 // Adjacency is stored per vertex as the ASCENDING neighbor list
-// (delta-coded, so the gaps are small and the reader rebuilds the
-// graph's sorted index without sorting anything) plus the permutation
-// recovering the port order:
+// (delta-coded, so the gaps are small) plus the permutation recovering
+// the port order — under identity naming exactly the graph's ID->port
+// index, so the reader rebuilds it without sorting anything:
 //
 //	magic   8 bytes: "fnrgbin" + version byte 0x02
 //	header  uvarint n, uvarint n', uvarint arcs (= 2m)
@@ -231,30 +231,23 @@ func (g *Graph) emitBinarySections(bw *binaryWriter) {
 	for v := Vertex(0); int(v) < g.N(); v++ {
 		buf = bw.put(binary.AppendUvarint(buf, uint64(g.Degree(v))))
 	}
-	// ports[i] = the local port behind sorted-run entry i. Under
+	// asc[i] = the local port behind v's i-th smallest neighbor. Under
 	// identity naming that is exactly the graph's idPort run (ID order
-	// equals index order); otherwise recover it with rank lookups in
-	// the (cache-resident) sorted run.
-	var ports []int32
-	if !g.identity {
-		ports = make([]int32, g.maxDeg)
-	}
+	// equals index order); otherwise one sort of the row recovers it.
+	var keys []uint64
+	var asc []int32
 	for v := Vertex(0); int(v) < g.N(); v++ {
 		o, e := g.offsets[v], g.offsets[v+1]
-		s := g.sortedAdj(v)
-		last := Vertex(0)
-		for _, u := range s {
-			buf = bw.put(binary.AppendUvarint(buf, uint64(u-last)))
-			last = u
+		row, run := g.nbrs[o:e], g.idPort[o:e]
+		if g.names != nil {
+			asc = slices.Grow(asc[:0], len(row))[:len(row)]
+			keys = ascendingPorts(row, asc, keys)
+			run = asc
 		}
-		run := g.idPort[o:e]
-		if !g.identity {
-			for p, w := range g.Adj(v) {
-				if i, ok := slices.BinarySearch(s, w); ok {
-					ports[i] = int32(p)
-				}
-			}
-			run = ports[:len(s)]
+		last := Vertex(0)
+		for _, p := range run {
+			buf = bw.put(binary.AppendUvarint(buf, uint64(row[p]-last)))
+			last = row[p]
 		}
 		for _, p := range run {
 			buf = bw.put(binary.AppendUvarint(buf, uint64(p)))
@@ -570,7 +563,7 @@ func readBinaryV3(br *bufio.Reader, sizeHint int64) (*Graph, error) {
 	if !sized {
 		arcCap = min(arcs, 1<<20)
 	}
-	sorted, ports, err := fr.readArcs(n, offsets, make([]Vertex, 0, arcCap), make([]int32, 0, arcCap))
+	nbrs, ports, err := fr.readArcs(n, offsets, make([]Vertex, 0, arcCap), make([]int32, 0, arcCap))
 	if err != nil {
 		if err == fr.err {
 			err = fmt.Errorf("graph: v3 arcs: %w", err)
@@ -580,63 +573,81 @@ func readBinaryV3(br *bufio.Reader, sizeHint int64) (*Graph, error) {
 	if err := fr.finish(); err != nil {
 		return nil, fmt.Errorf("graph: v3 payload: %w", err)
 	}
-	return fromCSRSorted(ids, offsets, sorted, ports, int64(nPrimeU))
+	return fromCSR(ids, offsets, nbrs, ports, int64(nPrimeU))
 }
 
 // readArcs decodes the arc sections — per vertex v, deg(v) gaps of the
-// ascending neighbor run, then deg(v) ports — appending to sorted and
-// ports. A row that lies wholly inside the current buffer decodes in
-// one pass of decodeRow; only a row that runs past the buffer's end
-// (in v3, the at most one row per frame that straddles a frame
-// boundary) is re-read varint by varint through u64, which crosses
-// frames. Both paths apply the same checks in the same order, so a
-// malformed row fails with the same error wherever the frames split
-// it. A varint error is fr.err, returned unwrapped.
+// ascending neighbor run, then deg(v) ports — appending the ports to
+// ports and the port-order row to nbrs. Each row's run lands in one
+// row-sized scratch and is scattered into nbrs through its ports,
+// rejecting a port listed twice, so the row provably holds exactly the
+// run's multiset; no arc-sized transient exists. A row that lies
+// wholly inside the current buffer decodes in one pass of decodeRow;
+// only a row that runs past the buffer's end (in v3, the at most one
+// row per frame that straddles a frame boundary) is re-read varint by
+// varint through u64, which crosses frames. Both paths apply the same
+// checks in the same order, so a malformed row fails with the same
+// error wherever the frames split it. A varint error is fr.err,
+// returned unwrapped.
 //
 // The fast path grows the arrays by a row only when the buffer holds
-// the row's minimum two bytes per arc, so even without a size hint the
-// growth stays a small multiple of input already read.
-func (fr *frameReader) readArcs(n int, offsets []int64, sorted []Vertex, ports []int32) ([]Vertex, []int32, error) {
+// the row's minimum two bytes per arc, and the slow path appends only
+// what it has read, so even without a size hint the growth stays a
+// small multiple of input already read.
+func (fr *frameReader) readArcs(n int, offsets []int64, nbrs []Vertex, ports []int32) ([]Vertex, []int32, error) {
+	var run []Vertex // the current row's ascending run
 	for v := 0; v < n; v++ {
 		o, e := offsets[v], offsets[v+1]
 		deg := int(e - o)
+		k := -1
 		if 2*int64(deg) <= int64(len(fr.buf)-fr.pos) {
-			sorted, ports = slices.Grow(sorted, deg)[:e], slices.Grow(ports, deg)[:e]
-			k, err := decodeRow(fr.buf[fr.pos:], v, n, sorted[o:e], ports[o:e])
-			if err != nil {
+			run, ports = slices.Grow(run[:0], deg)[:deg], slices.Grow(ports, deg)[:e]
+			var err error
+			if k, err = decodeRow(fr.buf[fr.pos:], v, n, run, ports[o:e]); err != nil {
 				return nil, nil, err
 			}
-			if k >= 0 {
-				fr.pos += k
-				continue
-			}
-			sorted, ports = sorted[:o], ports[:o]
 		}
-		prev := int64(-1)
-		for j := 0; j < deg; j++ {
-			x := fr.u64()
-			if fr.err != nil {
-				return nil, nil, fr.err
+		if k >= 0 {
+			fr.pos += k
+		} else {
+			run, ports = run[:0], ports[:o]
+			prev := int64(-1)
+			for j := 0; j < deg; j++ {
+				x := fr.u64()
+				if fr.err != nil {
+					return nil, nil, fr.err
+				}
+				next, ok := runStep(prev, x, j, n)
+				if !ok {
+					return nil, nil, runStepError(v, n, j, prev, x)
+				}
+				run = append(run, Vertex(next))
+				prev = next
 			}
-			next, ok := runStep(prev, x, j, n)
-			if !ok {
-				return nil, nil, runStepError(v, n, j, prev, x)
+			for j := 0; j < deg; j++ {
+				x := fr.u64()
+				if fr.err != nil {
+					return nil, nil, fr.err
+				}
+				if x >= uint64(deg) {
+					return nil, nil, portError(v, x, deg)
+				}
+				ports = append(ports, int32(x))
 			}
-			sorted = append(sorted, Vertex(next))
-			prev = next
 		}
-		for j := 0; j < deg; j++ {
-			x := fr.u64()
-			if fr.err != nil {
-				return nil, nil, fr.err
+		nbrs = slices.Grow(nbrs, deg)[:e]
+		row := nbrs[o:e]
+		for p := range row {
+			row[p] = NilVertex
+		}
+		for i, p := range ports[o:e] {
+			if row[p] != NilVertex {
+				return nil, nil, fmt.Errorf("graph: vertex %d lists port %d twice", v, p)
 			}
-			if x >= uint64(deg) {
-				return nil, nil, portError(v, x, deg)
-			}
-			ports = append(ports, int32(x))
+			row[p] = run[i]
 		}
 	}
-	return sorted, ports, nil
+	return nbrs, ports, nil
 }
 
 // decodeRow decodes row v — len(run) gaps, then as many ports — from
@@ -827,7 +838,7 @@ func readBinary(br *bufio.Reader) (*Graph, error) {
 	if total != arcsU {
 		return nil, fmt.Errorf("graph: degree sum %d does not match declared arc count %d", total, arcsU)
 	}
-	sorted, ports, err := fr.readArcs(n, offsets, make([]Vertex, 0, arcs), make([]int32, 0, arcs))
+	nbrs, ports, err := fr.readArcs(n, offsets, make([]Vertex, 0, arcs), make([]int32, 0, arcs))
 	if err != nil {
 		if err == fr.err {
 			err = fmt.Errorf("graph: binary payload: %w", err)
@@ -837,7 +848,7 @@ func readBinary(br *bufio.Reader) (*Graph, error) {
 	if err := fr.finish(); err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
-	return fromCSRSorted(ids, offsets, sorted, ports, int64(nPrimeU))
+	return fromCSR(ids, offsets, nbrs, ports, int64(nPrimeU))
 }
 
 // readText parses the v1 text format. Rows are handed out as byte
@@ -929,7 +940,7 @@ func readText(br *bufio.Reader) (*Graph, error) {
 	if strings.TrimSpace(string(row)) != "end" {
 		return nil, fmt.Errorf("graph: bad trailer %q", row)
 	}
-	return fromCSR(ids, offsets, nbrs, nPrime)
+	return fromCSR(ids, offsets, nbrs, nil, nPrime)
 }
 
 // lineReader hands out '\n'-terminated rows as byte slices without

@@ -247,7 +247,7 @@ func TestBinaryRowErrorsMatchAcrossFormats(t *testing.T) {
 		degrees[v] = uint64(g.Degree(v))
 		rowAt[v] = len(rows)
 		last := Vertex(0)
-		for _, u := range g.sortedAdj(v) {
+		for _, u := range slices.Sorted(slices.Values(g.Adj(v))) {
 			rows = append(rows, uint64(u-last))
 			last = u
 		}
@@ -272,7 +272,7 @@ func TestBinaryRowErrorsMatchAcrossFormats(t *testing.T) {
 	varints = append(varints, degrees...)
 	rowsFrom := len(varints)
 
-	run := g.sortedAdj(bad)
+	run := slices.Sorted(slices.Values(g.Adj(bad)))
 	for _, tc := range []struct {
 		name, want string
 		at         int

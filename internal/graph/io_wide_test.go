@@ -19,7 +19,7 @@ import (
 // the v3 streaming format, and decode back to an identical topology,
 // while the v1 text writer rejects it loudly.
 //
-// The instance holds ~60 GB of CSR arrays and ~8 GB of serialized
+// The instance holds ~17 GB of CSR arrays and ~8 GB of serialized
 // bytes, so the test is gated: set FNR_WIDE_BOUNDARY=1 to run it
 // (needs ~80 GB of RAM headroom, ~10 GB of free temp disk, and a few
 // minutes of single-core time). CI exercises the same decode path at
@@ -42,7 +42,8 @@ func TestWideOffsetsBoundaryRoundTrip(t *testing.T) {
 
 	// Direct CSR construction of K_n (the Builder's per-edge
 	// membership sets would cost another ~2 GB and hours of inserts):
-	// identity IDs, ascending rows, identity ports.
+	// identity IDs, ascending port-order rows, so the ascending ports
+	// are the identity permutation.
 	ids := make([]int64, n)
 	offsets := make([]int64, n+1)
 	for v := 0; v < n; v++ {
@@ -50,10 +51,10 @@ func TestWideOffsetsBoundaryRoundTrip(t *testing.T) {
 		offsets[v] = int64(v) * (n - 1)
 	}
 	offsets[n] = arcs
-	sorted := make([]Vertex, arcs)
+	nbrs := make([]Vertex, arcs)
 	ports := make([]int32, arcs)
 	for v := 0; v < n; v++ {
-		row := sorted[offsets[v]:offsets[v+1]]
+		row := nbrs[offsets[v]:offsets[v+1]]
 		prow := ports[offsets[v]:offsets[v+1]]
 		i := 0
 		for w := 0; w < n; w++ {
@@ -64,8 +65,8 @@ func TestWideOffsetsBoundaryRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	g, err := fromCSRSorted(ids, offsets, sorted, ports, n)
-	ids, offsets, sorted, ports = nil, nil, nil, nil
+	g, err := fromCSR(ids, offsets, nbrs, ports, n)
+	ids, offsets, nbrs, ports = nil, nil, nil, nil
 	if err != nil {
 		t.Fatalf("building K_%d: %v", n, err)
 	}

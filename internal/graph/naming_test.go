@@ -10,26 +10,6 @@ import (
 	"fnr/internal/sim"
 )
 
-// namings relabels g three ways: identity naming (ID = index), a
-// random permutation of [0, n), and sparse IDs from [0, 16n).
-func namings(t *testing.T, g *graph.Graph, rng *rand.Rand) map[string]*graph.Graph {
-	t.Helper()
-	b := graph.Rebuild(g)
-	for v := range graph.Vertex(g.N()) {
-		b.SetID(v, int64(v))
-	}
-	b.SetNPrime(int64(g.N()))
-	identity := b.MustBuild()
-	b = graph.Rebuild(g)
-	b.PermuteIDs(rng)
-	permuted := b.MustBuild()
-	b = graph.Rebuild(g)
-	if err := b.SparseIDs(16, rng); err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*graph.Graph{"identity": identity, "permuted": permuted, "sparse": b.MustBuild()}
-}
-
 // viewProbe records, on its one acting round, what the view reads:
 // every per-port ID and the bulk append.
 type viewProbe struct {
@@ -55,8 +35,8 @@ func (halter) Next(*sim.View) sim.Action { return sim.Halt() }
 // TestNeighborIDReadsAgreeAcrossNamings checks, for every family under
 // identity, permuted and sparse naming, every vertex and every port,
 // that all the ways of reading a neighbor's ID agree with
-// g.ID(g.Adj(v)[p]): the graph's IDRun (per port and in bulk),
-// IDsOfNeighbors, a stepper's View (per port and in bulk) and a
+// g.ID(g.Adj(v)[p]): the graph's NeighborID and IDsOfNeighbors, a
+// stepper's View (per port and in bulk) and a
 // Program's Env.NeighborIDs(); and that PortOfID inverts them.
 func TestNeighborIDReadsAgreeAcrossNamings(t *testing.T) {
 	rng := rand.New(rand.NewPCG(24, 0x1d5))
@@ -68,7 +48,7 @@ func TestNeighborIDReadsAgreeAcrossNamings(t *testing.T) {
 	sort.Strings(names) // the relabelings draw from one rng
 	tc := sim.NewTrialContext()
 	for _, family := range names {
-		for naming, g := range namings(t, families[family], rng) {
+		for naming, g := range graph.Namings(t, families[family], rng) {
 			t.Run(family+"/"+naming, func(t *testing.T) {
 				checkNeighborIDReads(t, tc, g)
 			})
@@ -85,23 +65,16 @@ func checkNeighborIDReads(t *testing.T, tc *sim.TrialContext, g *graph.Graph) {
 		for _, w := range g.Adj(v) {
 			want = append(want, g.ID(w))
 		}
-		run := g.NeighborIDRun(v)
-		if run.Len() != len(want) {
-			t.Fatalf("vertex %d: IDRun has %d entries for degree %d", v, run.Len(), len(want))
-		}
 		for p, id := range want {
-			if run.At(p) != id {
-				t.Fatalf("vertex %d: IDRun.At(%d) = %d, want %d", v, p, run.At(p), id)
+			if got := g.NeighborID(v, p); got != id {
+				t.Fatalf("vertex %d: NeighborID(%d) = %d, want %d", v, p, got, id)
 			}
 			if got := g.PortOfID(v, id); got != p {
 				t.Fatalf("vertex %d: PortOfID(%d) = %d, want port %d", v, id, got, p)
 			}
 		}
-		if got := run.AppendTo([]int64{-7}); !slices.Equal(got[1:], want) || got[0] != -7 {
-			t.Fatalf("vertex %d: IDRun.AppendTo = %v, want [-7] + %v", v, got, want)
-		}
-		if got := g.IDsOfNeighbors(v, nil); !slices.Equal(got, want) {
-			t.Fatalf("vertex %d: IDsOfNeighbors = %v, want %v", v, got, want)
+		if got := g.IDsOfNeighbors(v, []int64{-7}); !slices.Equal(got[1:], want) || got[0] != -7 {
+			t.Fatalf("vertex %d: IDsOfNeighbors([-7]) = %v, want [-7] + %v", v, got, want)
 		}
 
 		cfg := sim.Config{

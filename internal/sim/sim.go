@@ -249,7 +249,6 @@ func (tc *TrialContext) arm(cfg Config, team []Stepper, reuse bool) {
 	rt := &tc.rt
 	*rt = runtime{
 		g:             cfg.Graph,
-		kt1:           cfg.NeighborIDs,
 		whiteboards:   cfg.Whiteboards,
 		maxRounds:     maxRounds,
 		observer:      cfg.Observer,
@@ -270,6 +269,7 @@ func (tc *TrialContext) arm(cfg Config, team []Stepper, reuse bool) {
 			pos:     cfg.startOf(i),
 			moveTo:  graph.NilVertex,
 			waiting: cfg.delayOf(i),
+			view:    View{g: cfg.Graph, kt1: cfg.NeighborIDs},
 		}
 		ctx := &tc.stepCtx[i]
 		*ctx = StepContext{
@@ -295,7 +295,6 @@ func (tc *TrialContext) arm(cfg Config, team []Stepper, reuse bool) {
 // any team size.
 type runtime struct {
 	g             *graph.Graph
-	kt1           bool
 	whiteboards   bool
 	boards        []int64
 	written       *[]graph.Vertex // the owning TrialContext's written-board list
@@ -439,7 +438,7 @@ func (rt *runtime) tick(out *Result) (done bool, err error) {
 func (rt *runtime) step(d *agentState) error {
 	v := &d.view
 	v.Round = rt.round
-	v.locate(rt.g, d.pos, rt.kt1)
+	v.locate(d.pos)
 	v.Whiteboard = NoMark
 	if rt.whiteboards {
 		v.Whiteboard = rt.boards[d.pos]

@@ -109,43 +109,47 @@ type View struct {
 	// the beginning of the round (NoMark if empty or disabled).
 	Whiteboard int64
 
-	// nids reads the current vertex's neighbor IDs (empty in KT0
-	// runs); g/here back PortOfID with the graph's precomputed
-	// ID->port index (nil in KT0 runs).
-	nids graph.IDRun
+	// g and kt1 (neighbor-ID access) are the run's, set once when the
+	// run is armed; each acting round writes only the scalars here,
+	// HereID and Degree. Neighbor-ID reads resolve through g on demand.
 	g    *graph.Graph
 	here graph.Vertex
+	kt1  bool
 }
 
-// locate points v at vertex here of g: its ID and degree and, under
-// neighbor-ID access (kt1), the zero-copy neighbor-ID run and the
-// ID->port index. The runtime calls it for every acting round.
-func (v *View) locate(g *graph.Graph, here graph.Vertex, kt1 bool) {
-	run := g.NeighborIDRun(here)
-	v.HereID = g.ID(here)
-	v.Degree = run.Len()
-	if kt1 {
-		v.nids, v.g, v.here = run, g, here
-	} else {
-		v.nids, v.g = graph.IDRun{}, nil
-	}
+// locate points v at vertex here of its run's graph. The runtime calls
+// it for every acting round.
+func (v *View) locate(here graph.Vertex) {
+	v.here = here
+	v.HereID = v.g.ID(here)
+	v.Degree = v.g.Degree(here)
 }
 
 // NeighborID returns the ID of the neighbor behind local port p, in
 // O(1) and without copying. It panics unless the run grants
 // neighbor-ID access (StepContext.NeighborIDs) and 0 ≤ p < Degree.
-func (v *View) NeighborID(p int) int64 { return v.nids.At(p) }
+func (v *View) NeighborID(p int) int64 {
+	if !v.kt1 || uint(p) >= uint(v.Degree) {
+		panic("sim: View.NeighborID without neighbor-ID access or outside [0, Degree)")
+	}
+	return v.g.NeighborID(v.here, p)
+}
 
 // AppendNeighborIDs appends the IDs of the current vertex's neighbors,
 // in local port order, to dst and returns the extended slice. Without
 // neighbor-ID access it returns dst unchanged.
-func (v *View) AppendNeighborIDs(dst []int64) []int64 { return v.nids.AppendTo(dst) }
+func (v *View) AppendNeighborIDs(dst []int64) []int64 {
+	if !v.kt1 {
+		return dst
+	}
+	return v.g.IDsOfNeighbors(v.here, dst)
+}
 
 // PortOfID returns the local port leading to the neighbor with the
 // given ID, or ok=false if no such neighbor is visible (including all
 // KT0 runs).
 func (v *View) PortOfID(id int64) (port int, ok bool) {
-	if v.g == nil {
+	if !v.kt1 {
 		return -1, false
 	}
 	if p := v.g.PortOfID(v.here, id); p >= 0 {

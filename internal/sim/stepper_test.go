@@ -395,8 +395,8 @@ func TestViewPortOfID(t *testing.T) {
 	b.SetID(0, 5)
 	b.SetNPrime(40)
 	g := b.MustBuild()
-	v := &View{}
-	v.locate(g, 0, true)
+	v := &View{g: g, kt1: true}
+	v.locate(0)
 	if got := v.AppendNeighborIDs(nil); !slices.Equal(got, []int64{10, 20, 30}) {
 		t.Fatalf("AppendNeighborIDs = %v", got)
 	}
@@ -409,13 +409,26 @@ func TestViewPortOfID(t *testing.T) {
 	if _, ok := v.PortOfID(99); ok {
 		t.Fatal("missing ID reported present")
 	}
-	v.locate(g, 0, false)
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	// Port 3 would read the next vertex's first arc without the check.
+	mustPanic("NeighborID(3) at degree 3", func() { v.NeighborID(3) })
+	v = &View{g: g}
+	v.locate(0)
 	if _, ok := v.PortOfID(10); ok {
 		t.Fatal("KT0 view reported a port")
 	}
 	if got := v.AppendNeighborIDs(nil); got != nil {
 		t.Fatalf("KT0 view appended %v", got)
 	}
+	mustPanic("KT0 NeighborID", func() { v.NeighborID(0) })
 	if _, ok := (&View{}).PortOfID(1); ok {
 		t.Fatal("zero view reported a port")
 	}
